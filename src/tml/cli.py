@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 success (valid, proved, holds, well-formed), 1 negative verdict
-(invalid, refuted, fails, ill-formed proof), 2 usage or parse errors, 3 a
-broken internal invariant.  `--json` switches any subcommand to a JSON object
-tagged with "schema": 1.  Formula arguments may be given as `@path` to read
-the formula text from a file.
+(invalid, refuted, fails, ill-formed proof), 2 bad input (usage or parse
+errors, too many variables, formulas nested too deep, malformed proofs), 3 a
+broken internal invariant or any other internal error.  `--json` switches any
+subcommand to a JSON object tagged with "schema": 1.  Formula arguments may be
+given as `@path` to read the formula text from a file.
 """
 
 import argparse
@@ -12,13 +13,22 @@ import json
 import sys
 
 from . import nd
-from .algebra import OP_NAMES, format_table, run_identity_suites
+from .algebra import (
+    BINARY_OPS,
+    NULLARY_OPS,
+    OP_NAMES,
+    UNARY_OPS,
+    VALUES,
+    format_table,
+    run_identity_suites,
+)
 from .errors import InvariantViolation
 from .semantics import (
+    TooManyVariables,
     consequence_countermodel,
     countermodel,
     evaluate,
-    valuations,
+    truth_table,
 )
 from .syntax import (
     ParseError,
@@ -29,7 +39,7 @@ from .syntax import (
     translate,
     variables,
 )
-from .tableau import Proved, decide, decide_consequence, format_tableau
+from .tableau import Proved, decide, format_tableau
 
 _SYMBOL_OPS = {
     "~": "neg", "[]": "box", "<>": "dia",
@@ -37,13 +47,19 @@ _SYMBOL_OPS = {
 }
 
 
+def _read_file(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror}")
+    except ValueError as e:  # a NUL in the path, or text that is not UTF-8
+        raise _UsageError(f"cannot read {path}: {e}")
+
+
 def _read_formula_arg(text):
     if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
-        except OSError as e:
-            raise _UsageError(f"cannot read {text[1:]}: {e.strerror}")
+        text = _read_file(text[1:]).strip()
     return parse(text)
 
 
@@ -51,25 +67,35 @@ class _UsageError(Exception):
     pass
 
 
-def _emit_json(obj):
-    obj = {"schema": 1, **obj}
-    print(json.dumps(obj, indent=2))
-
-
 def _format_model(model):
     return " ".join(f"{k}={model[k]}" for k in sorted(model))
 
 
+# Exit code of each verdict; output without a verdict exits 0, except that
+# the identity suite exits 1 when an identity fails ("all_hold": false).
+_VERDICT_EXIT = {
+    None: 0, "valid": 0, "holds": 0, "proved": 0, "ok": 0,
+    "invalid": 1, "fails": 1, "refuted": 1, "ill-formed": 1,
+}
+
+# Exception kinds with their exit code and stderr message.  Any other
+# exception is a bug: main prints its traceback and exits 3.
+_ERROR_EXIT = (
+    ((ParseError, _UsageError, SignatureError, TooManyVariables), 2, "{}"),
+    (InvariantViolation, 3, "invariant violation: {}"),
+)
+
+
 # --- subcommand handlers -----------------------------------------------------
+#
+# Each handler returns (obj, text): the JSON object printed under --json and
+# the text printed otherwise.  main() prints one of them and derives the exit
+# code from obj["verdict"].
 
 
 def _cmd_parse(args):
     f = _read_formula_arg(args.formula)
-    if args.json:
-        _emit_json({"formula": render(f), "variables": sorted(variables(f))})
-    else:
-        print(render(f))
-    return 0
+    return {"formula": render(f), "variables": sorted(variables(f))}, render(f)
 
 
 def _cmd_table(args):
@@ -79,19 +105,13 @@ def _cmd_table(args):
             f"unknown connective {args.connective!r}; "
             f"choose from {', '.join(OP_NAMES)} or ~ [] <> & | >"
         )
-    if args.json:
-        from .algebra import BINARY_OPS, NULLARY_OPS, UNARY_OPS, VALUES
-
-        if name in NULLARY_OPS:
-            table = NULLARY_OPS[name]
-        elif name in UNARY_OPS:
-            table = {v: UNARY_OPS[name][v] for v in VALUES}
-        else:
-            table = {a: {b: BINARY_OPS[name][(a, b)] for b in VALUES} for a in VALUES}
-        _emit_json({"connective": name, "table": table})
+    if name in NULLARY_OPS:
+        table = NULLARY_OPS[name]
+    elif name in UNARY_OPS:
+        table = {v: UNARY_OPS[name][v] for v in VALUES}
     else:
-        print(format_table(name), end="")
-    return 0
+        table = {a: {b: BINARY_OPS[name][(a, b)] for b in VALUES} for a in VALUES}
+    return {"connective": name, "table": table}, format_table(name).rstrip("\n")
 
 
 def _parse_assignment(text):
@@ -129,120 +149,67 @@ def _cmd_eval(args):
         if missing:
             raise _UsageError(f"assignment misses {', '.join(missing)}")
         value = evaluate(f, model)
-        if args.json:
-            _emit_json({"formula": render(f), "assignment": model, "value": value})
-        else:
-            print(value)
-        return 0
+        return {"formula": render(f), "assignment": model, "value": value}, value
     names = _universe(f, args.vars)
-    rows = [(h, evaluate(f, h)) for h in valuations(names)]
-    if args.json:
-        _emit_json({
-            "formula": render(f),
-            "variables": names,
-            "rows": [{"assignment": h, "value": v} for h, v in rows],
-        })
-    else:
-        for h, v in rows:
-            cells = " ".join(f"{n}={h[n]}" for n in names)
-            print(f"{cells}  ->  {v}" if cells else v)
-    return 0
+    rows = truth_table(f, names)
+    lines = []
+    for h, v in rows:
+        cells = " ".join(f"{n}={h[n]}" for n in names)
+        lines.append(f"{cells}  ->  {v}" if cells else v)
+    obj = {
+        "formula": render(f),
+        "variables": names,
+        "rows": [{"assignment": h, "value": v} for h, v in rows],
+    }
+    return obj, "\n".join(lines)
 
 
 def _cmd_valid(args):
-    f = _read_formula_arg(args.formula)
-    model = countermodel(f)
+    model = countermodel(_read_formula_arg(args.formula))
     if model is None:
-        if args.json:
-            _emit_json({"verdict": "valid"})
-        else:
-            print("VALID")
-        return 0
-    if args.json:
-        _emit_json({"verdict": "invalid", "countermodel": model})
-    else:
-        print(f"INVALID  countermodel: {_format_model(model)}")
-    return 1
+        return {"verdict": "valid"}, "VALID"
+    return ({"verdict": "invalid", "countermodel": model},
+            f"INVALID  countermodel: {_format_model(model)}")
 
 
 def _cmd_countermodel(args):
-    f = _read_formula_arg(args.formula)
-    model = countermodel(f)
+    model = countermodel(_read_formula_arg(args.formula))
     if model is None:
-        if args.json:
-            _emit_json({"verdict": "valid", "countermodel": None})
-        else:
-            print("VALID")
-        return 0
-    if args.json:
-        _emit_json({"verdict": "invalid", "countermodel": model})
-    else:
-        print(_format_model(model))
-    return 1
+        return {"verdict": "valid", "countermodel": None}, "VALID"
+    return {"verdict": "invalid", "countermodel": model}, _format_model(model)
 
 
 def _cmd_consequence(args):
     premises = [_read_formula_arg(t) for t in args.premises]
-    conclusion = _read_formula_arg(args.to)
-    model = consequence_countermodel(premises, conclusion)
+    model = consequence_countermodel(premises, _read_formula_arg(args.to))
     if model is None:
-        if args.json:
-            _emit_json({"verdict": "holds"})
-        else:
-            print("HOLDS")
-        return 0
-    if args.json:
-        _emit_json({"verdict": "fails", "countermodel": model})
-    else:
-        print(f"FAILS  countermodel: {_format_model(model)}")
-    return 1
+        return {"verdict": "holds"}, "HOLDS"
+    return ({"verdict": "fails", "countermodel": model},
+            f"FAILS  countermodel: {_format_model(model)}")
 
 
 def _cmd_prove(args):
     f = _read_formula_arg(args.formula)
-    system = Signature(args.system)
-    verdict = decide(f, system, derived=args.derived)
-    tree = format_tableau(verdict.tableau) if args.emit_tableau else None
+    verdict = decide(f, Signature(args.system), derived=args.derived)
     if isinstance(verdict, Proved):
-        if args.json:
-            out = {"verdict": "proved"}
-            if tree is not None:
-                out["tableau"] = tree
-            _emit_json(out)
-        else:
-            print("PROVED")
-            if tree is not None:
-                print(tree, end="")
-        return 0
-    if args.json:
-        out = {"verdict": "refuted", "countermodel": verdict.model}
-        if tree is not None:
-            out["tableau"] = tree
-        _emit_json(out)
+        obj, text = {"verdict": "proved"}, "PROVED"
     else:
-        print(f"REFUTED  countermodel: {_format_model(verdict.model)}")
-        if tree is not None:
-            print(tree, end="")
-    return 1
+        obj = {"verdict": "refuted", "countermodel": verdict.model}
+        text = f"REFUTED  countermodel: {_format_model(verdict.model)}"
+    if args.emit_tableau:
+        obj["tableau"] = format_tableau(verdict.tableau)
+        text += "\n" + obj["tableau"].rstrip("\n")
+    return obj, text
 
 
 def _cmd_translate(args):
-    f = _read_formula_arg(args.formula)
-    g = translate(f, Signature(args.to))
-    if args.json:
-        _emit_json({"formula": render(g)})
-    else:
-        print(render(g))
-    return 0
+    g = translate(_read_formula_arg(args.formula), Signature(args.to))
+    return {"formula": render(g)}, render(g)
 
 
 def _load_proof(path):
     try:
-        if path == "-":
-            data = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = fh.read()
+        data = sys.stdin.read() if path == "-" else _read_file(path)
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
     try:
@@ -257,29 +224,19 @@ def _load_proof(path):
 
 def _cmd_nd_check(args):
     proof = _load_proof(args.file)
-    try:
-        judgement = nd.check(proof)
-    except (nd.SchemaError, nd.DischargeError) as e:
-        if args.json:
-            _emit_json({"verdict": "ill-formed", "error": str(e)})
-        else:
-            print(f"ILL-FORMED  {e}")
-        return 1
+    judgement = nd.check(proof)
     opens = sorted(render(f) for f in judgement.open_assumptions)
+    conclusion = render(judgement.conclusion)
     normal = nd.is_normal(proof)
-    if args.json:
-        _emit_json({
-            "verdict": "ok",
-            "open_assumptions": opens,
-            "conclusion": render(judgement.conclusion),
-            "normal": normal,
-        })
-    else:
-        context = ", ".join(opens)
-        print(f"OK  {context} |- {render(judgement.conclusion)}"
-              if context else f"OK  |- {render(judgement.conclusion)}")
-        print(f"normal: {'yes' if normal else 'no'}")
-    return 0
+    obj = {
+        "verdict": "ok",
+        "open_assumptions": opens,
+        "conclusion": conclusion,
+        "normal": normal,
+    }
+    context = ", ".join(opens)
+    head = f"OK  {context} |- " if context else "OK  |- "
+    return obj, f"{head}{conclusion}\nnormal: {'yes' if normal else 'no'}"
 
 
 def _cmd_nd_normalize(args):
@@ -291,45 +248,27 @@ def _cmd_nd_normalize(args):
             label = f" {what}" if what else ""
             print(f"step {event['step']}: {event['kind']}{label} "
                   f"measure={event['measure']}", file=sys.stderr)
-    try:
-        result = nd.normalize(proof, observer=observer)
-    except (nd.SchemaError, nd.DischargeError) as e:
-        if args.json:
-            _emit_json({"verdict": "ill-formed", "error": str(e)})
-        else:
-            print(f"ILL-FORMED  {e}")
-        return 1
-    if args.json:
-        _emit_json({"verdict": "ok", "proof": nd.to_json(result)})
-    else:
-        print(json.dumps(nd.to_json(result), indent=2))
-    return 0
+    result = nd.to_json(nd.normalize(proof, observer=observer))
+    return {"verdict": "ok", "proof": result}, json.dumps(result, indent=2)
 
 
 def _cmd_identities(args):
     results = list(run_identity_suites())
-    failures = [(s, n, r) for s, n, r in results if not r.holds]
-    if args.json:
-        _emit_json({
-            "results": [
-                {"suite": s, "name": n, "holds": r.holds, "witness": r.witness}
-                for s, n, r in results
-            ],
-            "all_hold": not failures,
-        })
-    else:
-        for suite, name, result in results:
-            mark = "ok" if result.holds else f"FAIL at {result.witness}"
-            print(f"{suite}/{name}: {mark}")
-        print(f"{len(results) - len(failures)}/{len(results)} identities hold")
-    return 0 if not failures else 1
+    held = sum(r.holds for _, _, r in results)
+    lines = [f"{suite}/{name}: {'ok' if r.holds else f'FAIL at {r.witness}'}"
+             for suite, name, r in results]
+    lines.append(f"{held}/{len(results)} identities hold")
+    obj = {
+        "results": [
+            {"suite": s, "name": n, "holds": r.holds, "witness": r.witness}
+            for s, n, r in results
+        ],
+        "all_hold": held == len(results),
+    }
+    return obj, "\n".join(lines)
 
 
 # --- parser and dispatch -------------------------------------------------------
-
-
-def _add_json(sub):
-    sub.add_argument("--json", action="store_true", help="emit a JSON object")
 
 
 def build_parser():
@@ -342,35 +281,29 @@ def build_parser():
 
     sp = subs.add_parser("parse", help="parse a formula and print it back")
     sp.add_argument("formula")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_parse)
 
     sp = subs.add_parser("table", help="print a connective's operation table")
     sp.add_argument("connective")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_table)
 
     sp = subs.add_parser("eval", help="evaluate a formula")
     sp.add_argument("formula")
     sp.add_argument("--assign", help="valuation, e.g. p=n,q=b")
     sp.add_argument("--vars", help="pin and order the variable universe")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_eval)
 
     sp = subs.add_parser("valid", help="test validity by brute force")
     sp.add_argument("formula")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_valid)
 
     sp = subs.add_parser("countermodel", help="find a non-designating valuation")
     sp.add_argument("formula")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_countermodel)
 
     sp = subs.add_parser("consequence", help="test semantic consequence")
     sp.add_argument("premises", nargs="*")
     sp.add_argument("--to", required=True, help="conclusion formula")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_consequence)
 
     sp = subs.add_parser("prove", help="decide a formula with a signed tableau")
@@ -380,31 +313,28 @@ def build_parser():
                     help="use the derived two-premise rules (succ system)")
     sp.add_argument("--emit-tableau", action="store_true",
                     help="print the completed tableau")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_prove)
 
     sp = subs.add_parser("translate", help="rewrite a formula into a signature")
     sp.add_argument("formula")
     sp.add_argument("--to", choices=["succ", "full"], required=True)
-    _add_json(sp)
     sp.set_defaults(func=_cmd_translate)
 
     sp = subs.add_parser("nd-check", help="check a natural deduction proof")
     sp.add_argument("file", help="proof JSON file, or - for stdin")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_nd_check)
 
     sp = subs.add_parser("nd-normalize", help="normalize a natural deduction proof")
     sp.add_argument("file", help="proof JSON file, or - for stdin")
     sp.add_argument("--trace", action="store_true",
                     help="print each conversion and the measure to stderr")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_nd_normalize)
 
     sp = subs.add_parser("identities", help="check the algebra identity suites")
-    _add_json(sp)
     sp.set_defaults(func=_cmd_identities)
 
+    for sp in subs.choices.values():
+        sp.add_argument("--json", action="store_true", help="emit a JSON object")
     return parser
 
 
@@ -415,16 +345,20 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except (_UsageError, SignatureError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except InvariantViolation as e:
-        print(f"invariant violation: {e}", file=sys.stderr)
+        obj, text = args.func(args)
+    except (nd.SchemaError, nd.DischargeError) as e:
+        obj, text = {"verdict": "ill-formed", "error": str(e)}, f"ILL-FORMED  {e}"
+    except Exception as e:
+        for kinds, code, message in _ERROR_EXIT:
+            if isinstance(e, kinds):
+                print(message.format(e), file=sys.stderr)
+                return code
+        import traceback  # here, not at the top: it adds ~7 ms to every start-up
+
+        traceback.print_exc()
         return 3
+    print(json.dumps({"schema": 1, **obj}, indent=2) if args.json else text)
+    return _VERDICT_EXIT[obj.get("verdict")] if obj.get("all_hold", True) else 1
 
 
 if __name__ == "__main__":

@@ -763,18 +763,24 @@ def _resolve_cut(proof, cut, report=None):
     raise ValueError(f"position {position!r} is not a cut")
 
 
+def _classify(proof, seg):
+    """(kind, minor) of the conversion at cut segment seg; minor is the index
+    of the del-rule minor premise with an empty assumption class that a
+    removal keeps, else None."""
+    if seg.length == 1:
+        return "detour", None
+    final = _node_at(proof, seg.positions[-1])
+    for i in (1, 2):
+        if _assume_sites(final.premises[i], final.discharges[i - 1][0]) == 0:
+            return "removal", i
+    return "permutation", None
+
+
 def conversion_kind(proof, cut):
     """Which transformation convert_at would apply: 'detour' for length-1
     cuts, 'removal' when the final del-rule has an empty assumption class in
     a minor premise, 'permutation' otherwise."""
-    seg = _resolve_cut(proof, cut)
-    if seg.length == 1:
-        return "detour"
-    final = _node_at(proof, seg.positions[-1])
-    for i in (1, 2):
-        if _assume_sites(final.premises[i], final.discharges[i - 1][0]) == 0:
-            return "removal"
-    return "permutation"
+    return _classify(proof, _resolve_cut(proof, cut))[0]
 
 
 _DETOUR_MINOR = {
@@ -795,7 +801,9 @@ _DETOUR_PROJECT = {
 
 
 def _convert(proof, seg, supply):
-    if seg.length == 1:
+    """The proof after the conversion at cut segment seg, and its kind."""
+    kind, minor = _classify(proof, seg)
+    if kind == "detour":
         intro = _node_at(proof, seg.positions[0])
         consumer_path = seg.positions[-1][:-1]
         consumer = _node_at(proof, consumer_path)
@@ -810,12 +818,11 @@ def _convert(proof, seg, supply):
             )
         else:
             raise InvariantViolation(f"no detour for {key}")
-        return _replace_at(proof, consumer_path, replacement)
+        return _replace_at(proof, consumer_path, replacement), kind
     final_path = seg.positions[-1]
     final = _node_at(proof, final_path)
-    for i in (1, 2):
-        if _assume_sites(final.premises[i], final.discharges[i - 1][0]) == 0:
-            return _replace_at(proof, final_path, final.premises[i])
+    if kind == "removal":
+        return _replace_at(proof, final_path, final.premises[minor]), kind
     consumer_path = final_path[:-1]
     consumer = _node_at(proof, consumer_path)
     rest = consumer.premises[1:]
@@ -839,7 +846,7 @@ def _convert(proof, seg, supply):
         (final.premises[0], pushed1, pushed2),
         final.discharges,
     )
-    return _replace_at(proof, consumer_path, replacement)
+    return _replace_at(proof, consumer_path, replacement), kind
 
 
 def convert_at(proof, cut):
@@ -847,7 +854,7 @@ def convert_at(proof, cut):
     or the start position of one).  Raises ValueError if it is not a cut."""
     seg = _resolve_cut(proof, cut)
     supply = _MarkerSupply(all_markers(proof))
-    return _convert(proof, seg, supply)
+    return _convert(proof, seg, supply)[0]
 
 
 def _measure(report):
@@ -870,9 +877,8 @@ def normalize(proof, observer=None):
     step = 1
     while report.critical:
         seg = max(report.critical, key=lambda s: s.positions[0])
-        kind = conversion_kind(result, seg)
         supply = _MarkerSupply(all_markers(result))
-        result = _convert(result, seg, supply)
+        result, kind = _convert(result, seg, supply)
         report = analyze(result)
         new_measure = _measure(report)
         if not new_measure < measure:
@@ -992,6 +998,9 @@ def from_json(obj):
     discharges = obj.get("discharges", [])
     if not isinstance(discharges, list):
         raise ValueError("discharges must be a list")
+    for d in discharges:
+        if not isinstance(d["marker"], str):
+            raise ValueError("discharge marker must be a string")
     return Rule(
         rule,
         parse(obj["conclusion"]),

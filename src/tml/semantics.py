@@ -80,8 +80,7 @@ def _guard(names):
 
 def valid(f):
     """True iff f evaluates to 1 under every valuation of its variables."""
-    names = _guard(variables(f))
-    return all(evaluate(f, h) == ONE for h in valuations(names))
+    return countermodel(f) is None
 
 
 def countermodel(f):

@@ -14,6 +14,7 @@ Concrete syntax:
     atom    := 'bot' | 'top' | IDENT | '(' formula ')'
 
 Identifiers match [a-z][a-zA-Z0-9_]* and may not be the keywords bot/top.
+Nesting is bounded by MAX_DEPTH.
 """
 
 import enum
@@ -22,6 +23,15 @@ from dataclasses import dataclass
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _KEYWORDS = ("bot", "top")
+
+MAX_DEPTH = 100
+"""Deepest nesting parse() accepts.  Each connective and each pair of
+parentheses sits one level above its deepest operand, so a formula text of
+depth d yields a tree of depth at most d.  The bound keeps the recursive
+parser, printer, evaluator, translations and tableaux within Python's
+default recursion limit of 1000: translating to the succ signature nests
+each '&' four levels deep, and hashing a formula takes two levels of that
+limit per level of the tree."""
 
 
 class ParseError(Exception):
@@ -170,10 +180,20 @@ def _lex(text):
 _ATOM_STARTERS = ("~", "[]", "<>", "(", "bot", "top", "ident")
 
 
+_UNARY_TYPES = {"~": Neg, "[]": Box, "<>": Dia}
+
+
+def _too_deep(pos):
+    raise ParseError(f"formula nested deeper than {MAX_DEPTH}", pos)
+
+
 class _Parser:
+    """Recursive descent.  Each method returns (formula, depth of its text)."""
+
     def __init__(self, text):
         self.tokens = _lex(text)
         self.i = 0
+        self.level = 0  # open '(', unary and '>' right-operand contexts
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -188,65 +208,101 @@ class _Parser:
         shown = "end of input" if kind == "end" else repr(text or kind)
         raise ParseError(f"unexpected {shown}", pos, expected)
 
+    def enter(self):
+        """Consume a token whose operand the parser descends into and return
+        its position.  Checked before descending, so deep input cannot
+        exhaust the recursion of the parser itself."""
+        pos = self.tokens[self.i][1]
+        self.i += 1
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            _too_deep(pos)
+        return pos
+
+    # Depths are also checked bottom-up, after each node is built: long '&'
+    # and '|' chains are parsed iteratively but nest all the same.
+
     def formula(self):
-        left = self.disjunction()
-        if self.peek() == ">":
-            self.next()
-            return Succ(left, self.formula())
-        return left
+        first = self.disjunction()
+        if self.peek() != ">":
+            return first
+        left, d = first
+        pos = self.enter()
+        right, e = self.formula()
+        self.level -= 1
+        d = (d if d > e else e) + 1
+        if d > MAX_DEPTH:
+            _too_deep(pos)
+        return Succ(left, right), d
 
     def disjunction(self):
-        f = self.conjunction()
+        first = self.conjunction()
+        if self.peek() != "|":
+            return first
+        f, d = first
         while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
+            pos = self.next()[1]
+            g, e = self.conjunction()
+            d = (d if d > e else e) + 1
+            if d > MAX_DEPTH:
+                _too_deep(pos)
+            f = Or(f, g)
+        return f, d
 
     def conjunction(self):
-        f = self.unary()
+        first = self.unary()
+        if self.peek() != "&":
+            return first
+        f, d = first
         while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
+            pos = self.next()[1]
+            g, e = self.unary()
+            d = (d if d > e else e) + 1
+            if d > MAX_DEPTH:
+                _too_deep(pos)
+            f = And(f, g)
+        return f, d
 
     def unary(self):
         kind = self.peek()
-        if kind == "~":
-            self.next()
-            return Neg(self.unary())
-        if kind == "[]":
-            self.next()
-            return Box(self.unary())
-        if kind == "<>":
-            self.next()
-            return Dia(self.unary())
-        return self.atom()
+        if kind not in _UNARY_TYPES:
+            return self.atom()
+        pos = self.enter()
+        body, d = self.unary()
+        self.level -= 1
+        if d >= MAX_DEPTH:
+            _too_deep(pos)
+        return _UNARY_TYPES[kind](body), d + 1
 
     def atom(self):
         kind, pos, text = self.tokens[self.i]
         if kind == "bot":
             self.next()
-            return BOT
+            return BOT, 0
         if kind == "top":
             self.next()
-            return TOP
+            return TOP, 0
         if kind == "ident":
             self.next()
-            return Var(text)
+            return Var(text), 0
         if kind == "(":
-            self.next()
-            f = self.formula()
+            pos = self.enter()
+            f, d = self.formula()
             if self.peek() != ")":
                 self.fail((")",))
             self.next()
-            return f
+            self.level -= 1
+            if d >= MAX_DEPTH:
+                _too_deep(pos)
+            return f, d + 1
         self.fail(_ATOM_STARTERS)
 
 
 def parse(text):
-    """Parse concrete syntax into a Formula.  Raises ParseError."""
+    """Parse concrete syntax into a Formula.  Raises ParseError, also for
+    formulas nested deeper than MAX_DEPTH."""
     p = _Parser(text)
-    f = p.formula()
+    f, _ = p.formula()
     if p.peek() != "end":
         p.fail(("&", "|", ">", "end"))
     return f

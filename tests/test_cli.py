@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tml import nd
 from tml.cli import main
-from tml.syntax import parse
+from tml.syntax import MAX_DEPTH, parse
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv, expect=None):
@@ -316,3 +323,135 @@ def test_no_arguments(capsys):
 
 def test_help_exits_zero(capsys):
     run(capsys, "--help", expect=0)
+
+
+# --- golden output ---------------------------------------------------------------
+#
+# cli_golden.json holds the README examples and every subcommand in text and
+# --json form, with the stdout, stderr and exit code each had before the
+# handlers were folded onto one output path.  "{name}" arguments stand for
+# the proof file built from GOLDEN["files"][name].
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, obj in GOLDEN["files"].items():
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return paths
+
+
+def _comparable(argv, stdout):
+    # decide() extracts countermodels from sets, so the key order of a
+    # countermodel under `prove --json` follows the hash seed.
+    if argv[0] == "prove" and "--json" in argv:
+        obj = json.loads(stdout)
+        return list(obj), obj
+    return stdout
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_golden_output(capsys, golden_files, case):
+    argv = [str(golden_files[a[1:-1]]) if a.startswith("{") else a
+            for a in case["argv"]]
+    code, out, err = run(capsys, *argv)
+    assert code == case["exit"]
+    assert _comparable(argv, out) == _comparable(argv, case["stdout"])
+    assert err == case["stderr"]
+
+
+# --- bad input exits 2 -------------------------------------------------------------
+
+
+LIST_MARKER_PROOF = {
+    "rule": "BoxI", "conclusion": "[]p",
+    "premises": [{"rule": "Assume", "formula": "p", "marker": None},
+                 {"rule": "Assume", "formula": "bot", "marker": None}],
+    "discharges": [{"marker": ["u"], "formula": "~p"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["valid", " & ".join(f"v{i}" for i in range(14))],
+    ["valid", "~" * 1200 + "p"],
+    ["nd-check", "{list-marker}"],
+    ["valid", "(" * 200 + "p" + ")" * 200],
+    ["valid", " & ".join(["p"] * 1000)],
+    ["eval", " | ".join(f"v{i}" for i in range(14))],
+    ["valid", "@\0"],
+    ["valid", "@{latin-1}"],
+    ["nd-check", "{latin-1}"],
+], ids=["14-variables", "deep-neg", "list-marker", "deep-parens", "long-chain",
+        "eval-14-variables", "nul-in-path", "formula-not-utf-8", "proof-not-utf-8"])
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "list-marker").write_text(json.dumps(LIST_MARKER_PROOF))
+    (tmp_path / "latin-1").write_bytes(b"p \xff q")
+    argv = [a.replace("{", f"{tmp_path}/").replace("}", "") for a in argv]
+    code, out, err = run(capsys, *argv, expect=2)
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["valid"], ["countermodel"], ["eval"],
+    ["translate", "--to", "full"], ["prove", "--system", "full"],
+], ids=" ".join)
+def test_max_depth_is_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv, "<>" * MAX_DEPTH + "p")
+    assert code in (0, 1), err
+    run(capsys, *argv, "<>" * (MAX_DEPTH + 1) + "p", expect=2)
+
+
+def test_max_depth_chain_survives_succ_translation(capsys):
+    chain = " & ".join(["p"] * (MAX_DEPTH + 1))
+    code, _, err = run(capsys, "prove", "--system", "succ", chain)
+    assert code == 1, err
+    _, out, _ = run(capsys, "translate", "--to", "succ", "~" * MAX_DEPTH + "p",
+                    expect=0)
+    assert out.strip() == "~" * MAX_DEPTH + "p"
+
+
+# --- generated input -----------------------------------------------------------------
+
+
+_TOKENS = ["p", "q", "r", "bot", "top", "~", "[]", "<>", "&", "|", ">", "(", ")",
+           "[", "<", "P", "1", "@", "-"]
+_FORMULAS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["parse", "eval", "valid", "countermodel", "consequence", "translate"]))
+    argv = [command]
+    if command == "consequence":
+        argv += draw(st.lists(_FORMULAS, max_size=2)) + ["--to"]
+    argv.append(draw(_FORMULAS))
+    if command == "eval":
+        argv += draw(st.sampled_from([
+            [], ["--assign", "p=1"], ["--assign", "p=n,q=b,r=0"], ["--assign", "p=2"],
+            ["--assign", "p"], ["--vars", "q,p"], ["--vars", "p,q,r,s"], ["--vars", ""],
+        ]))
+    if command == "translate":
+        argv += ["--to", draw(st.sampled_from(["succ", "full", "none"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_argv())
+def test_generated_input_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and code in (0, 1):
+        json.loads(out.getvalue())

@@ -604,5 +604,9 @@ def test_from_json_rejects_garbage():
         nd.from_json({"rule": "NoSuchRule", "conclusion": "p", "premises": []})
     with pytest.raises(ValueError):
         nd.from_json({"rule": "Assume", "formula": "p", "marker": 3})
+    with pytest.raises(ValueError):
+        nd.from_json({"rule": "BoxI", "conclusion": "[]p",
+                      "premises": [{"rule": "MA", "formula": "p | ~[]p"}] * 2,
+                      "discharges": [{"marker": ["u"], "formula": "~p"}]})
     with pytest.raises(KeyError):
         nd.from_json({"rule": "AndI", "premises": []})
