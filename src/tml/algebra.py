@@ -9,6 +9,8 @@ value, i.e. one of {b, 1}.
 
 from typing import NamedTuple
 
+from .syntax import And, Box, Succ, entailment, parse
+
 ZERO, N, B, ONE = "0", "n", "b", "1"
 
 # Enumeration order used everywhere a "first" or "least" value is needed.
@@ -113,33 +115,27 @@ class IdentityResult(NamedTuple):
 
 def check_identity(lhs, rhs):
     """Do two formulas take equal values under every valuation of their
-    combined variables (4**k cases)?  On failure the result carries the first
+    combined variables (4**k cases; above semantics.MAX_VARIABLES it raises
+    TooManyVariables)?  On failure the result carries the first
     counterexample in enumeration order."""
-    # Late import: semantics builds on this module.
-    from . import semantics
-    from .syntax import variables
-
-    names = sorted(variables(lhs) | variables(rhs))
-    for h in semantics.valuations(names):
-        if semantics.evaluate(lhs, h) != semantics.evaluate(rhs, h):
-            return IdentityResult(False, h)
-    return IdentityResult(True, None)
+    return check_quasi_identity((), lhs, rhs)
 
 
 def check_quasi_identity(hypotheses, lhs, rhs):
     """Like check_identity, but only over valuations that make each hypothesis
     pair (l, r) evaluate equal."""
-    from . import semantics
-    from .syntax import variables
+    # Late import: semantics builds on this module.
+    from .semantics import countermodel
 
-    names = set(variables(lhs) | variables(rhs))
-    for l, r in hypotheses:
-        names |= variables(l) | variables(r)
-    for h in semantics.valuations(sorted(names)):
-        if all(semantics.evaluate(l, h) == semantics.evaluate(r, h) for l, r in hypotheses):
-            if semantics.evaluate(lhs, h) != semantics.evaluate(rhs, h):
-                return IdentityResult(False, h)
-    return IdentityResult(True, None)
+    premises = [Box(_equation(l, r)) for l, r in hypotheses]
+    witness = countermodel(entailment(premises, _equation(lhs, rhs)))
+    return IdentityResult(witness is None, witness)
+
+
+def _equation(x, y):
+    """(x > y) & (y > x): 1 where x = y and below 1 elsewhere, so under [] it is
+    1 or 0, and a meet of boxed equations is 1 exactly where all of them hold."""
+    return And(Succ(x, y), Succ(y, x))
 
 
 # Named identity suites, kept as concrete syntax so they double as CLI output
@@ -198,8 +194,6 @@ QUASI_IDENTITIES = [
 
 def run_identity_suites():
     """Check every suite entry; yields (suite, name, IdentityResult)."""
-    from .syntax import parse
-
     for suite, entries in IDENTITY_SUITES.items():
         for name, lhs, rhs in entries:
             yield suite, name, check_identity(parse(lhs), parse(rhs))

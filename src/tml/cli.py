@@ -31,6 +31,7 @@ from .semantics import (
     truth_table,
 )
 from .syntax import (
+    MAX_DEPTH,
     ParseError,
     Signature,
     SignatureError,
@@ -180,6 +181,9 @@ def _cmd_countermodel(args):
 
 
 def _cmd_consequence(args):
+    # The search joins the premises with &, one nesting level each.
+    if len(args.premises) > MAX_DEPTH:
+        raise _UsageError(f"more than {MAX_DEPTH} premises")
     premises = [_read_formula_arg(t) for t in args.premises]
     model = consequence_countermodel(premises, _read_formula_arg(args.to))
     if model is None:
@@ -216,6 +220,8 @@ def _load_proof(path):
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise _UsageError(f"bad proof JSON: {e}")
+    except RecursionError:  # far past nd.MAX_PROOF_DEPTH
+        raise _UsageError("bad proof JSON: nested too deep")
     try:
         return nd.from_json(obj)
     except (ValueError, KeyError, TypeError) as e:

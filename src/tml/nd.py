@@ -28,6 +28,7 @@ from .syntax import (
     complexity,
     parse,
     render,
+    subformulas,
 )
 
 
@@ -89,7 +90,7 @@ CUT_E_TAGS = E_TAGS - frozenset(["BotE"])
 # Which premise index each discharge entry scopes over, per rule.
 DISCHARGE_SCOPES = {"OrE": (1, 2), "NegAndE": (1, 2), "BoxI": (1,)}
 
-_ALLOWED_FORMULA_TYPES = (Var, Bot, Neg, And, Or, Box)
+_ALLOWED_FORMULA_TYPES = frozenset([Var, Bot, Neg, And, Or, Box])
 
 
 def conclusion_of(tree):
@@ -99,21 +100,12 @@ def conclusion_of(tree):
 
 
 def _check_language(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if not isinstance(g, _ALLOWED_FORMULA_TYPES):
+    for g in subformulas(f):
+        if type(g) not in _ALLOWED_FORMULA_TYPES:
             raise SchemaError(
                 f"formula {render(g)} is outside the proof language "
                 "(bot, variables, ~, &, |, [])"
             )
-        if isinstance(g, Neg):
-            stack.append(g.body)
-        elif isinstance(g, Box):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack.append(g.left)
-            stack.append(g.right)
 
 
 def _expect(condition, message):
@@ -510,6 +502,16 @@ def _index_nodes(proof):
     return nodes
 
 
+def _subtrees(tree):
+    """Yield every node of the tree, in no particular order."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Rule):
+            stack.extend(t.premises)
+
+
 def _is_del(t):
     return isinstance(t, Rule) and t.tag in DEL_TAGS
 
@@ -563,35 +565,18 @@ def is_normal(proof):
 
 def all_markers(proof):
     out = set()
-
-    def go(t):
-        if isinstance(t, Assume):
-            if t.marker is not None:
-                out.add(t.marker)
-        elif isinstance(t, Rule):
-            for m, _ in t.discharges:
-                out.add(m)
-            for p in t.premises:
-                go(p)
-
-    go(proof)
+    for t in _subtrees(proof):
+        if isinstance(t, Rule):
+            out.update(m for m, _ in t.discharges)
+        elif isinstance(t, Assume) and t.marker is not None:
+            out.add(t.marker)
     return out
 
 
 def _bound_markers(trees):
     """Markers discharged by some application inside the given trees."""
-    out = set()
-
-    def go(t):
-        if isinstance(t, Rule):
-            for m, _ in t.discharges:
-                out.add(m)
-            for p in t.premises:
-                go(p)
-
-    for t in trees:
-        go(t)
-    return out
+    return {m for tree in trees for t in _subtrees(tree) if isinstance(t, Rule)
+            for m, _ in t.discharges}
 
 
 class _MarkerSupply:
@@ -643,15 +628,7 @@ def _refresh_unit(trees, discharges, supply):
 
 
 def _assume_sites(tree, marker):
-    count = 0
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Assume) and t.marker == marker:
-            count += 1
-        elif isinstance(t, Rule):
-            stack.extend(t.premises)
-    return count
+    return sum(isinstance(t, Assume) and t.marker == marker for t in _subtrees(tree))
 
 
 def _substitute(tree, marker, replacement, supply):
@@ -979,7 +956,29 @@ def to_json(proof):
     }
 
 
+MAX_PROOF_DEPTH = 200
+"""Deepest rule nesting from_json() accepts, counted in rules on one path from
+the conclusion to a leaf.  from_json, check, normalize and to_json take up to
+two of Python's default 1000 frames per level, and normalizing can nearly
+double the depth (a detour's major side replaces the assumption at the bottom
+of its minor side), which still fits."""
+
+
 def from_json(obj):
+    """Build a proof from its JSON object.  Raises ValueError, KeyError or
+    TypeError on malformed input, and ValueError on a proof nested deeper
+    than MAX_PROOF_DEPTH rules."""
+    level, depth = [obj], 0
+    while level:
+        if depth > MAX_PROOF_DEPTH:
+            raise ValueError(f"proof nested deeper than {MAX_PROOF_DEPTH} rules")
+        level = [p for node in level if isinstance(node, dict)
+                 and isinstance(node.get("premises"), list) for p in node["premises"]]
+        depth += 1
+    return _from_json(obj)
+
+
+def _from_json(obj):
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ValueError("proof node must be an object with a 'rule' key")
     rule = obj["rule"]
@@ -1004,6 +1003,6 @@ def from_json(obj):
     return Rule(
         rule,
         parse(obj["conclusion"]),
-        tuple(from_json(p) for p in premises),
+        tuple(_from_json(p) for p in premises),
         tuple((d["marker"], parse(d["formula"])) for d in discharges),
     )

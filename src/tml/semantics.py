@@ -7,24 +7,17 @@ conclusion value.  With no premises that meet is 1, so a valid formula is one
 that is constantly 1.  (Constantly designated and constantly 1 coincide here:
 swapping n and b is an automorphism, so a value of b somewhere forces a value
 of n somewhere else.)
+
+Every semantic check reduces to countermodel(), the one valuation search,
+through the strong implication >, which internalizes the order: a <= b iff
+a > b = 1.  Consequence searches syntax.entailment(premises, conclusion), and
+the identity checks in algebra search the same shape built from equations.
 """
 
 import itertools
 
-from .algebra import (
-    BOX,
-    DESIGNATED,
-    DIA,
-    JOIN,
-    MEET,
-    NEG,
-    ONE,
-    SUCC,
-    VALUES,
-    ZERO,
-    leq,
-)
-from .syntax import And, Bot, Box, Dia, Neg, Or, Succ, Top, Var, variables
+from .algebra import BOX, DIA, JOIN, MEET, NEG, ONE, SUCC, VALUES, ZERO
+from .syntax import And, Bot, Box, Dia, Neg, Or, Succ, Top, Var, entailment, variables
 
 MAX_VARIABLES = 12
 
@@ -37,28 +30,32 @@ class TooManyVariables(ValueError):
 
 def evaluate(f, h):
     """Value of f under valuation h.  Raises KeyError on an unbound variable."""
-    if isinstance(f, Var):
-        try:
-            return h[f.name]
-        except KeyError:
-            raise KeyError(f"no binding for variable {f.name!r}") from None
-    if isinstance(f, Neg):
-        return NEG[evaluate(f.body, h)]
-    if isinstance(f, And):
-        return MEET[(evaluate(f.left, h), evaluate(f.right, h))]
-    if isinstance(f, Or):
-        return JOIN[(evaluate(f.left, h), evaluate(f.right, h))]
-    if isinstance(f, Succ):
-        return SUCC[(evaluate(f.left, h), evaluate(f.right, h))]
-    if isinstance(f, Box):
-        return BOX[evaluate(f.body, h)]
-    if isinstance(f, Dia):
-        return DIA[evaluate(f.body, h)]
-    if isinstance(f, Bot):
-        return ZERO
-    if isinstance(f, Top):
-        return ONE
-    raise TypeError(f"not a formula: {f!r}")
+    try:
+        step = _EVALUATE[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return step(f, h)
+
+
+def _variable(f, h):
+    try:
+        return h[f.name]
+    except KeyError:
+        raise KeyError(f"no binding for variable {f.name!r}") from None
+
+
+# The oracle's inner loop.  syntax._fold would need a table per valuation.
+_EVALUATE = {
+    Var: _variable,
+    Bot: lambda f, h: ZERO,
+    Top: lambda f, h: ONE,
+    Neg: lambda f, h: NEG[evaluate(f.body, h)],
+    Box: lambda f, h: BOX[evaluate(f.body, h)],
+    Dia: lambda f, h: DIA[evaluate(f.body, h)],
+    And: lambda f, h: MEET[(evaluate(f.left, h), evaluate(f.right, h))],
+    Or: lambda f, h: JOIN[(evaluate(f.left, h), evaluate(f.right, h))],
+    Succ: lambda f, h: SUCC[(evaluate(f.left, h), evaluate(f.right, h))],
+}
 
 
 def valuations(names):
@@ -102,18 +99,7 @@ def consequence(premises, conclusion):
 def consequence_countermodel(premises, conclusion):
     """First valuation where the meet of the premise values does not sit below
     the conclusion value, or None if the consequence holds."""
-    premises = list(premises)
-    names = set(variables(conclusion))
-    for p in premises:
-        names |= variables(p)
-    _guard(names)
-    for h in valuations(names):
-        bound = ONE
-        for p in premises:
-            bound = MEET[(bound, evaluate(p, h))]
-        if not leq(bound, evaluate(conclusion, h)):
-            return h
-    return None
+    return countermodel(entailment(premises, conclusion))
 
 
 def conjugate(h):

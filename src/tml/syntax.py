@@ -18,6 +18,7 @@ Nesting is bounded by MAX_DEPTH.
 """
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -27,11 +28,12 @@ _KEYWORDS = ("bot", "top")
 MAX_DEPTH = 100
 """Deepest nesting parse() accepts.  Each connective and each pair of
 parentheses sits one level above its deepest operand, so a formula text of
-depth d yields a tree of depth at most d.  The bound keeps the recursive
-parser, printer, evaluator, translations and tableaux within Python's
-default recursion limit of 1000: translating to the succ signature nests
-each '&' four levels deep, and hashing a formula takes two levels of that
-limit per level of the tree."""
+depth d yields a tree of depth at most d.  The bound keeps recursion within
+Python's default limit of 1000 frames.  Per level of the tree, _fold (the
+printer, measures and translations) takes one frame, semantics.evaluate two
+(its dispatch and the table entry), and hashing a formula two.  Translating
+to the succ signature nests each '&' four levels deep, so a translation can
+be 400 levels deep and take 800 frames to hash."""
 
 
 class ParseError(Exception):
@@ -115,27 +117,55 @@ class Signature(enum.Enum):
     SUCC = "succ"
 
 
-_FULL_TYPES = (Var, Bot, Top, Neg, And, Or, Box)
-_SUCC_TYPES = (Var, Bot, Neg, Succ)
+_FULL_TYPES = frozenset([Var, Bot, Top, Neg, And, Or, Box])
+_SUCC_TYPES = frozenset([Var, Bot, Neg, Succ])
+
+_ATOMS = frozenset([Var, Bot, Top])
+_UNARY = frozenset([Neg, Box, Dia])
+_BINARY = frozenset([And, Or, Succ])
+
+SYMBOLS = {Neg: "~", Box: "[]", Dia: "<>", And: "&", Or: "|", Succ: ">"}
+"""Concrete syntax of each connective."""
 
 
 def in_signature(f, sig):
     types = _FULL_TYPES if sig is Signature.FULL else _SUCC_TYPES
-    return all(isinstance(g, types) for g in subformulas(f))
+    return all(type(g) in types for g in subformulas(f))
 
 
 def subformulas(f):
     """Yield f and every subformula, preorder."""
-    yield f
-    if isinstance(f, (Neg, Box, Dia)):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or, Succ)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        kind = type(g)
+        if kind in _UNARY:
+            stack.append(g.body)
+        elif kind in _BINARY:
+            stack.append(g.right)
+            stack.append(g.left)
 
 
 def variables(f):
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
+    return frozenset(g.name for g in subformulas(f) if type(g) is Var)
+
+
+def _fold(f, table, name=None):
+    """Fold f bottom-up: table maps a node type to a function of the node (an
+    atom) or of its folded operands (a connective).  A formula type missing
+    from table raises SignatureError naming `name`; a non-formula, TypeError."""
+    kind = type(f)
+    step = table.get(kind)
+    if step is None:
+        if kind in _ATOMS or kind in _UNARY or kind in _BINARY:
+            raise SignatureError(f"{name} is not defined on {render(f)!r}")
+        raise TypeError(f"not a formula: {f!r}")
+    if kind in _BINARY:
+        return step(_fold(f.left, table, name), _fold(f.right, table, name))
+    if kind in _UNARY:
+        return step(_fold(f.body, table, name))
+    return step(f)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -180,7 +210,7 @@ def _lex(text):
 _ATOM_STARTERS = ("~", "[]", "<>", "(", "bot", "top", "ident")
 
 
-_UNARY_TYPES = {"~": Neg, "[]": Box, "<>": Dia}
+_UNARY_TYPES = {SYMBOLS[kind]: kind for kind in _UNARY}
 
 
 def _too_deep(pos):
@@ -309,65 +339,79 @@ def parse(text):
 
 
 # --- printing --------------------------------------------------------------
+#
+# Each node renders to (text, binding level); an operand that binds more
+# loosely than its place allows is parenthesized.
 
-_UNARY_SYM = {Neg: "~", Box: "[]", Dia: "<>"}
+
+def _wrap(operand, floor):
+    text, level = operand
+    return "(" + text + ")" if level < floor else text
+
+
+def _prefix(kind):
+    symbol = SYMBOLS[kind]
+    return lambda a: (symbol + _wrap(a, 4), 4)
+
+
+def _infix(kind, level, left_floor, right_floor):
+    symbol = f" {SYMBOLS[kind]} "
+    return lambda a, b: (_wrap(a, left_floor) + symbol + _wrap(b, right_floor), level)
+
+
+_RENDER = {
+    Var: lambda f: (f.name, 5),
+    Bot: lambda f: ("bot", 5),
+    Top: lambda f: ("top", 5),
+    **{kind: _prefix(kind) for kind in _UNARY},
+    And: _infix(And, 3, 3, 4),
+    Or: _infix(Or, 2, 2, 3),
+    Succ: _infix(Succ, 1, 2, 1),
+}
 
 
 def render(f):
     """Concrete syntax with minimal parentheses; parse(render(f)) == f."""
-    return _render(f, 0)
-
-
-def _render(f, floor):
-    if isinstance(f, Var):
-        s, level = f.name, 5
-    elif isinstance(f, Bot):
-        s, level = "bot", 5
-    elif isinstance(f, Top):
-        s, level = "top", 5
-    elif isinstance(f, (Neg, Box, Dia)):
-        s, level = _UNARY_SYM[type(f)] + _render(f.body, 4), 4
-    elif isinstance(f, And):
-        s, level = _render(f.left, 3) + " & " + _render(f.right, 4), 3
-    elif isinstance(f, Or):
-        s, level = _render(f.left, 2) + " | " + _render(f.right, 3), 2
-    elif isinstance(f, Succ):
-        s, level = _render(f.left, 2) + " > " + _render(f.right, 1), 1
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if level < floor:
-        return "(" + s + ")"
-    return s
+    return _fold(f, _RENDER)[0]
 
 
 # --- measures --------------------------------------------------------------
 
+_COMPLEXITY = {
+    **dict.fromkeys(_ATOMS, lambda f: 0),
+    Neg: lambda a: a + 1,
+    Box: lambda a: a + 2,
+    Dia: lambda a: a + 4,
+    And: lambda a, b: a + b + 1,
+    Or: lambda a, b: a + b + 1,
+}
+
+_DEGREE = {
+    **dict.fromkeys(_ATOMS, lambda f: 1),
+    Neg: lambda a: a + 1,
+    Succ: lambda a, b: a + b + 1,
+}
+
+
 def complexity(f):
     """Connective weight on the full signature: and/or/neg cost 1, box costs 2,
     diamond costs 4 (it abbreviates three connectives); atoms cost 0."""
-    if isinstance(f, (Var, Bot, Top)):
-        return 0
-    if isinstance(f, Neg):
-        return complexity(f.body) + 1
-    if isinstance(f, Box):
-        return complexity(f.body) + 2
-    if isinstance(f, Dia):
-        return complexity(f.body) + 4
-    if isinstance(f, (And, Or)):
-        return complexity(f.left) + complexity(f.right) + 1
-    raise SignatureError(f"complexity is not defined on {render(f)!r}")
+    return _fold(f, _COMPLEXITY, "complexity")
 
 
 def degree(f):
     """Atom-counting size on the succ signature: atoms weigh 1, ~ adds 1,
     > adds the sides plus 1."""
-    if isinstance(f, (Var, Bot, Top)):
-        return 1
-    if isinstance(f, Neg):
-        return degree(f.body) + 1
-    if isinstance(f, Succ):
-        return degree(f.left) + degree(f.right) + 1
-    raise SignatureError(f"degree is not defined on {render(f)!r}")
+    return _fold(f, _DEGREE, "degree")
+
+
+def entailment(premises, conclusion):
+    """A formula that is constantly 1 iff, under every valuation, the meet of
+    the premises lies below the conclusion (a <= b iff a > b = 1): the
+    premises joined by & from the left, on the left of >; with no premises,
+    the conclusion itself."""
+    premises = list(premises)
+    return Succ(functools.reduce(And, premises), conclusion) if premises else conclusion
 
 
 # --- translations ----------------------------------------------------------
@@ -375,11 +419,9 @@ def degree(f):
 def translate(f, target):
     """Rewrite f into the target signature, preserving its value under every
     valuation."""
-    if target is Signature.FULL:
-        return _to_full(f)
-    if target is Signature.SUCC:
-        return _to_succ(f)
-    raise ValueError(f"unknown signature {target!r}")
+    if target not in _TRANSLATIONS:
+        raise ValueError(f"unknown signature {target!r}")
+    return _fold(f, _TRANSLATIONS[target])
 
 
 def _imp(a, b):
@@ -387,52 +429,32 @@ def _imp(a, b):
     return Or(Neg(Box(a)), b)
 
 
-def _to_full(f):
-    if isinstance(f, (Var, Bot, Top)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_to_full(f.body))
-    if isinstance(f, Box):
-        return Box(_to_full(f.body))
-    if isinstance(f, Dia):
-        return Neg(Box(Neg(_to_full(f.body))))
-    if isinstance(f, And):
-        return And(_to_full(f.left), _to_full(f.right))
-    if isinstance(f, Or):
-        return Or(_to_full(f.left), _to_full(f.right))
-    if isinstance(f, Succ):
-        x = _to_full(f.left)
-        y = _to_full(f.right)
-        return And(
-            And(_imp(x, y), _imp(Neg(y), Neg(x))),
-            _imp(Or(Neg(x), y), Or(Box(Neg(x)), y)),
-        )
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _succ_or(a, b):
     return Succ(Succ(a, b), b)
 
 
-def _to_succ(f):
-    if isinstance(f, (Var, Bot)):
-        return f
-    if isinstance(f, Top):
-        return Succ(BOT, BOT)
-    if isinstance(f, Neg):
-        return Neg(_to_succ(f.body))
-    if isinstance(f, Succ):
-        return Succ(_to_succ(f.left), _to_succ(f.right))
-    if isinstance(f, Or):
-        return _succ_or(_to_succ(f.left), _to_succ(f.right))
-    if isinstance(f, And):
-        a = _to_succ(f.left)
-        b = _to_succ(f.right)
-        return Neg(_succ_or(Neg(a), Neg(b)))
-    if isinstance(f, Box):
-        a = _to_succ(f.body)
-        return Neg(Succ(a, Neg(a)))
-    if isinstance(f, Dia):
-        a = _to_succ(f.body)
-        return Succ(Neg(a), a)
-    raise TypeError(f"not a formula: {f!r}")
+_TRANSLATIONS = {
+    Signature.FULL: {
+        **dict.fromkeys(_ATOMS, lambda f: f),
+        Neg: Neg,
+        Box: Box,
+        Dia: lambda a: Neg(Box(Neg(a))),
+        And: And,
+        Or: Or,
+        Succ: lambda x, y: And(
+            And(_imp(x, y), _imp(Neg(y), Neg(x))),
+            _imp(Or(Neg(x), y), Or(Box(Neg(x)), y)),
+        ),
+    },
+    Signature.SUCC: {
+        Var: lambda f: f,
+        Bot: lambda f: f,
+        Top: lambda f: Succ(BOT, BOT),
+        Neg: Neg,
+        Box: lambda a: Neg(Succ(a, Neg(a))),
+        Dia: lambda a: Succ(Neg(a), a),
+        And: lambda a, b: Neg(_succ_or(Neg(a), Neg(b))),
+        Or: _succ_or,
+        Succ: Succ,
+    },
+}

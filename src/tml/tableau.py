@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import DESIGNATED, VALUES
+from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
 from .semantics import evaluate
 from .syntax import (
@@ -23,11 +23,13 @@ from .syntax import (
     Box,
     Neg,
     Or,
+    SYMBOLS,
     Signature,
     SignatureError,
     Succ,
     Top,
     Var,
+    entailment,
     in_signature,
     render,
     translate,
@@ -182,15 +184,9 @@ def _match_derived(sf1, sf2):
     return None
 
 
-_CONN_LABEL = {And: "&", Or: "|", Box: "[]", Succ: ">", Neg: "~"}
-
-
 def _rule_label(sf):
     f = sf.formula
-    if isinstance(f, Neg):
-        name = "~" + _CONN_LABEL[type(f.body)]
-    else:
-        name = _CONN_LABEL[type(f)]
+    name = "~" + SYMBOLS[type(f.body)] if type(f) is Neg else SYMBOLS[type(f)]
     return f"{sf.sign}({name})"
 
 
@@ -372,28 +368,23 @@ def decide(f, system, derived=False, rng=None):
     """Translate f into the system's signature and test whether it always
     takes the value 1: the tableau for F(translation) either closes (Proved)
     or leaves an open branch, from whose leftmost representative a
-    countermodel is read off (Refuted)."""
+    countermodel is read off (Refuted).  Raises InvariantViolation if f takes
+    the value 1 under that countermodel."""
     g = translate(f, system)
     tableau = complete([F(g)], system, derived=derived, rng=rng, stop_on_open=True)
     if tableau.closed:
         return Proved(tableau)
     branch = tableau.open_branches()[0]
     model = extract_model(branch, names=variables(g))
+    if evaluate(f, model) == ONE:
+        raise InvariantViolation(f"countermodel {model} gives {render(f)} the value 1")
     return Refuted(model, branch, tableau)
 
 
 def decide_consequence(premises, conclusion, system, derived=False, rng=None):
     """Tableau test for "the meet of the premises lies below the conclusion":
-    the premises are folded with & and hung on > in front of the conclusion,
-    which internalizes the order."""
-    premises = list(premises)
-    f = conclusion
-    if premises:
-        acc = premises[0]
-        for p in premises[1:]:
-            acc = And(acc, p)
-        f = Succ(acc, conclusion)
-    return decide(f, system, derived=derived, rng=rng)
+    decide syntax.entailment, where > internalizes the order."""
+    return decide(entailment(premises, conclusion), system, derived=derived, rng=rng)
 
 
 # Value ranges a signed literal forces on its variable, keyed by

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+from helpers import random_formula
 
 from tml.algebra import (
     B,
@@ -23,7 +26,8 @@ from tml.algebra import (
     leq,
     run_identity_suites,
 )
-from tml.syntax import And, Box, Neg, Or, Succ, Var, parse
+from tml.semantics import evaluate, valuations
+from tml.syntax import And, Box, Neg, Or, Succ, Var, parse, render, variables
 
 
 def test_value_inventory():
@@ -152,6 +156,34 @@ def test_quasi_identity():
     bad = check_quasi_identity([(parse("x"), parse("top"))], parse("y"), parse("top"))
     assert not bad.holds
     assert bad.witness == {"x": "1", "y": "0"}
+
+
+def _first_witness(hypotheses, lhs, rhs):
+    # The reference: the first valuation where every hypothesis pair takes
+    # equal values and the two sides do not.
+    names = set(variables(lhs) | variables(rhs))
+    for l, r in hypotheses:
+        names |= variables(l) | variables(r)
+    for h in valuations(names):
+        if all(evaluate(l, h) == evaluate(r, h) for l, r in hypotheses):
+            if evaluate(lhs, h) != evaluate(rhs, h):
+                return h
+    return None
+
+
+def test_identity_witnesses_match_a_direct_search():
+    rng = random.Random(1618)
+    for _ in range(300):
+        def formula():
+            return random_formula(rng, names=("x", "y", "z"), depth=3)
+
+        hypotheses = [(formula(), formula()) for _ in range(rng.randint(1, 2))]
+        lhs, rhs = formula(), formula()
+        shown = ([(render(l), render(r)) for l, r in hypotheses], render(lhs), render(rhs))
+        expected = _first_witness([], lhs, rhs)
+        assert check_identity(lhs, rhs) == (expected is None, expected), shown
+        expected = _first_witness(hypotheses, lhs, rhs)
+        assert check_quasi_identity(hypotheses, lhs, rhs) == (expected is None, expected), shown
 
 
 def test_identity_suites_all_hold():

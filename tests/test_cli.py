@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tml import nd
+from tml import nd, tableau
 from tml.cli import main
 from tml.syntax import MAX_DEPTH, parse
 
@@ -152,6 +152,14 @@ def test_consequence_fails_with_countermodel(capsys):
     assert "FAILS" in out and "p=n" in out
 
 
+def test_consequence_premise_count_is_bounded(capsys):
+    run(capsys, "consequence", *["p"] * MAX_DEPTH, "--to", "p", expect=0)
+    _, out, err = run(capsys, "consequence", *["p"] * (MAX_DEPTH + 1), "--to", "p",
+                      expect=2)
+    assert out == ""
+    assert err == f"more than {MAX_DEPTH} premises\n"
+
+
 def test_consequence_deduction_failure_pin(capsys):
     alpha = ("<>(p & ~p) & <>(q & ~q) & <>((p > q) & ~(p > q)) & p")
     run(capsys, "consequence", alpha, "q", "--to", "bot", expect=0)
@@ -210,6 +218,14 @@ def test_prove_agrees_with_valid_on_exit_codes(capsys):
             t = main(["prove", "--system", system, text])
             capsys.readouterr()
             assert t == v, (text, system)
+
+
+def test_prove_exits_3_on_a_wrong_countermodel(capsys, monkeypatch):
+    monkeypatch.setattr(tableau, "extract_model",
+                        lambda branch, names=(): {n: "1" for n in names})
+    _, out, err = run(capsys, "prove", "--system", "succ", "p | ~p", expect=3)
+    assert out == ""
+    assert err.startswith("invariant violation: ")
 
 
 def test_translate(capsys):
@@ -293,6 +309,29 @@ def test_nd_normalize_ill_formed(capsys, tmp_path):
                                               "marker": None}],
                                 "discharges": []}))
     run(capsys, "nd-normalize", str(path), expect=1)
+
+
+def _negneg_proof(rules):
+    """JSON text of NegNegI and NegNegE applied in turn to p, `rules` deep."""
+    opens = ('{"rule": "NegNegI", "conclusion": "~~p", "discharges": [], "premises": ['
+             if level % 2 else
+             '{"rule": "NegNegE", "conclusion": "p", "discharges": [], "premises": ['
+             for level in range(rules, 0, -1))
+    leaf = '{"rule": "Assume", "formula": "p", "marker": null}'
+    return "".join(opens) + leaf + "]}" * rules
+
+
+@pytest.mark.parametrize("command", ["nd-check", "nd-normalize"])
+def test_proof_depth_bound(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    for rules, code in ((nd.MAX_PROOF_DEPTH, 0), (nd.MAX_PROOF_DEPTH + 1, 2), (1000, 2)):
+        path.write_text(_negneg_proof(rules))
+        _, out, err = run(capsys, command, str(path), expect=code)
+        assert "Traceback" not in err
+        if code == 0:
+            assert out.startswith("OK  p |- p" if command == "nd-check" else "{")
+        else:
+            assert out == ""
 
 
 # --- identities / dispatch --------------------------------------------------------------

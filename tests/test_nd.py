@@ -610,3 +610,39 @@ def test_from_json_rejects_garbage():
                       "discharges": [{"marker": ["u"], "formula": "~p"}]})
     with pytest.raises(KeyError):
         nd.from_json({"rule": "AndI", "premises": []})
+
+
+def _rule_depth(proof):
+    level, depth = [proof], 0
+    while level:
+        level = [p for t in level if isinstance(t, nd.Rule) for p in t.premises]
+        depth += bool(level)
+    return depth
+
+
+def test_proof_at_the_depth_bound():
+    # A detour whose sides are each MAX_PROOF_DEPTH - 1 rules deep: its
+    # conversion puts the major side in place of the assumption at the
+    # bottom of the minor one, so normalizing nearly doubles the depth.
+    def chain(leaf, tag):
+        d = leaf
+        for i in range(nd.MAX_PROOF_DEPTH - 2):
+            d = nd.or_e(nd.assume(Or(P, P)), d, nd.assume(P, f"{tag}{i}"),
+                        f"{tag}-vacuous{i}", f"{tag}{i}")
+        return d
+
+    proof = nd.or_e(nd.or_i1(chain(nd.assume(P), "x"), Q),
+                    nd.or_i1(chain(nd.assume(P, "u"), "y"), Q),
+                    nd.or_i2(nd.assume(Q, "v"), P), "u", "v")
+    assert _rule_depth(proof) == nd.MAX_PROOF_DEPTH
+    obj = nd.to_json(proof)
+    assert nd.from_json(obj) == proof
+    assert judgement(proof) == (["p", "p | p"], "p | q")
+    normal = nd.normalize(proof)
+    assert nd.is_normal(normal)
+    assert _rule_depth(normal) == 2 * nd.MAX_PROOF_DEPTH - 3
+    assert judgement(normal) == (["p", "p | p"], "p | q")
+    nd.to_json(normal)
+    with pytest.raises(ValueError, match="nested deeper than"):
+        nd.from_json({"rule": "OrI1", "conclusion": "(p | q) | q",
+                      "premises": [obj], "discharges": []})

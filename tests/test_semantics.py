@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import fold_and, modal_ladder, random_formula
+from tml.algebra import MEET, check_identity, check_quasi_identity, leq
 from tml.semantics import (
     CONJUGATE,
     TooManyVariables,
@@ -87,6 +88,10 @@ def test_variable_limit():
         countermodel(wide)
     with pytest.raises(TooManyVariables):
         consequence([wide], parse("bot"))
+    with pytest.raises(TooManyVariables):
+        check_identity(wide, wide)
+    with pytest.raises(TooManyVariables):
+        check_quasi_identity([(wide, wide)], parse("p"), parse("p"))
 
 
 def test_consequence_basics():
@@ -110,6 +115,27 @@ def test_entailment_does_not_internalize():
     assert consequence([parse(alpha), parse("q")], parse("bot"))
     res = consequence_countermodel([parse(alpha)], parse("q > bot"))
     assert res == {"p": "n", "q": "b"}
+
+
+def test_consequence_witness_matches_a_direct_search():
+    # The reference: the first valuation where the meet of the premise
+    # values does not lie below the conclusion value.
+    rng = random.Random(2718)
+    for _ in range(300):
+        premises = [random_formula(rng, names=("p", "q", "r"), depth=3)
+                    for _ in range(rng.randint(1, 3))]
+        conclusion = random_formula(rng, names=("p", "q", "r"), depth=3)
+        names = set(variables(conclusion)).union(*map(variables, premises))
+        expected = None
+        for h in valuations(names):
+            bound = "1"
+            for p in premises:
+                bound = MEET[(bound, evaluate(p, h))]
+            if not leq(bound, evaluate(conclusion, h)):
+                expected = h
+                break
+        got = consequence_countermodel(premises, conclusion)
+        assert got == expected, ([render(p) for p in premises], render(conclusion))
 
 
 def test_consequence_matches_implication_on_single_premises():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import random_formula
+from tml import tableau
 from tml.errors import InvariantViolation
 from tml.semantics import consequence, evaluate, valid, valuations
 from tml.syntax import (
@@ -233,6 +234,13 @@ def test_complete_rejects_out_of_signature_roots():
         complete([F(parse("p & q"))], Signature.SUCC)
     with pytest.raises(SignatureError):
         complete([F(parse("p > q"))], Signature.FULL)
+
+
+def test_decide_checks_its_countermodel(monkeypatch):
+    monkeypatch.setattr(tableau, "extract_model",
+                        lambda branch, names=(): {n: "1" for n in names})
+    with pytest.raises(InvariantViolation, match="the value 1"):
+        decide(parse("p | ~p"), Signature.FULL)
 
 
 def test_decide_translates_first():
