@@ -14,11 +14,12 @@ classes (vacuous discharge) are fine.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation
 from .syntax import (
+    BOT,
     And,
     Bot,
     Box,
@@ -26,6 +27,8 @@ from .syntax import (
     Or,
     Var,
     complexity,
+    instantiate,
+    match,
     parse,
     render,
     subformulas,
@@ -108,9 +111,53 @@ def _check_language(f):
             )
 
 
-def _expect(condition, message):
-    if not condition:
-        raise SchemaError(message)
+def _schema(premises, conclusion, discharges=()):
+    return tuple(map(parse, premises)), parse(conclusion), tuple(map(parse, discharges))
+
+
+# Each rule as (premise patterns, conclusion pattern, discharged patterns).  In
+# the patterns, a and b stand for the parts of the principal formula, and c for
+# the free conclusion of OrE, NegAndE and BotE.
+_SCHEMAS = {
+    "AndI": _schema(["a", "b"], "a & b"),
+    "AndE1": _schema(["a & b"], "a"),
+    "AndE2": _schema(["a & b"], "b"),
+    "NegAndI1": _schema(["~a"], "~(a & b)"),
+    "NegAndI2": _schema(["~b"], "~(a & b)"),
+    "NegAndE": _schema(["~(a & b)", "c", "c"], "c", ["~a", "~b"]),
+    "OrI1": _schema(["a"], "a | b"),
+    "OrI2": _schema(["b"], "a | b"),
+    "OrE": _schema(["a | b", "c", "c"], "c", ["a", "b"]),
+    "NegOrI": _schema(["~a", "~b"], "~(a | b)"),
+    "NegOrE1": _schema(["~(a | b)"], "~a"),
+    "NegOrE2": _schema(["~(a | b)"], "~b"),
+    "NegNegI": _schema(["a"], "~~a"),
+    "NegNegE": _schema(["~~a"], "a"),
+    "BoxI": _schema(["a", "bot"], "[]a", ["~a"]),
+    "BoxE": _schema(["[]a"], "a"),
+    "NegBoxI": _schema(["~a"], "~[]a"),
+    "NegBoxE": _schema(["~[]a", "a"], "~a"),
+    "BotI": _schema(["~a & []a"], "bot"),
+    "BotE": _schema(["bot"], "c"),
+}
+_MA_SHAPE = parse("a | ~[]a")
+
+_SHAPE_NAMES = {Neg: "a negation", And: "a conjunction", Or: "a disjunction", Box: "a box"}
+
+
+def _expect(tag, role, pattern, f, binding):
+    """Match f against pattern, extending binding, or raise SchemaError
+    '<tag> <role> must be <X>': X names the pattern's shape when its outermost
+    connective differs from f's, else is the pattern with binding filled in."""
+    if not match(pattern, f, binding):
+        shape = type(pattern) is not type(f) and _SHAPE_NAMES.get(type(pattern))
+        raise SchemaError(f"{tag} {role} must be {shape or render(instantiate(pattern, binding))}")
+
+
+def _expect_premises(tag, patterns, premises, binding):
+    for i, (pattern, p) in enumerate(zip(patterns, premises)):
+        role = "premise" if len(patterns) == 1 else f"premise {i}"
+        _expect(tag, role, pattern, conclusion_of(p), binding)
 
 
 def _schema_check(node):
@@ -119,127 +166,16 @@ def _schema_check(node):
     tag = node.tag
     if tag not in TAGS:
         raise SchemaError(f"unknown rule tag {tag!r}")
-    prems = [conclusion_of(p) for p in node.premises]
-    c = node.conclusion
-    want_discharges = DISCHARGE_SCOPES.get(tag, ())
-    _expect(
-        len(node.discharges) == len(want_discharges),
-        f"{tag} takes {len(want_discharges)} discharge(s), "
-        f"got {len(node.discharges)}",
-    )
-
-    def arity(n):
-        _expect(len(prems) == n, f"{tag} takes {n} premise(s), got {len(prems)}")
-
-    if tag == "AndI":
-        arity(2)
-        _expect(c == And(prems[0], prems[1]), "AndI conclusion must conjoin the premises")
-    elif tag in ("AndE1", "AndE2"):
-        arity(1)
-        _expect(isinstance(prems[0], And), f"{tag} premise must be a conjunction")
-        part = prems[0].left if tag == "AndE1" else prems[0].right
-        _expect(c == part, f"{tag} conclusion must be that side of the premise")
-    elif tag in ("NegAndI1", "NegAndI2"):
-        arity(1)
-        _expect(
-            isinstance(c, Neg) and isinstance(c.body, And),
-            f"{tag} conclusion must negate a conjunction",
-        )
-        part = c.body.left if tag == "NegAndI1" else c.body.right
-        _expect(prems[0] == Neg(part), f"{tag} premise must negate that conjunct")
-    elif tag == "NegAndE":
-        arity(3)
-        major = prems[0]
-        _expect(
-            isinstance(major, Neg) and isinstance(major.body, And),
-            "NegAndE major premise must negate a conjunction",
-        )
-        _expect(prems[1] == c and prems[2] == c, "NegAndE minors must conclude the conclusion")
-        want = (Neg(major.body.left), Neg(major.body.right))
-        got = tuple(f for _, f in node.discharges)
-        _expect(got == want, "NegAndE must discharge the negated conjuncts in order")
-    elif tag in ("OrI1", "OrI2"):
-        arity(1)
-        _expect(isinstance(c, Or), f"{tag} conclusion must be a disjunction")
-        part = c.left if tag == "OrI1" else c.right
-        _expect(prems[0] == part, f"{tag} premise must be that disjunct")
-    elif tag == "OrE":
-        arity(3)
-        major = prems[0]
-        _expect(isinstance(major, Or), "OrE major premise must be a disjunction")
-        _expect(prems[1] == c and prems[2] == c, "OrE minors must conclude the conclusion")
-        want = (major.left, major.right)
-        got = tuple(f for _, f in node.discharges)
-        _expect(got == want, "OrE must discharge the disjuncts in order")
-    elif tag == "NegOrI":
-        arity(2)
-        _expect(
-            isinstance(c, Neg) and isinstance(c.body, Or),
-            "NegOrI conclusion must negate a disjunction",
-        )
-        _expect(
-            prems[0] == Neg(c.body.left) and prems[1] == Neg(c.body.right),
-            "NegOrI premises must negate the disjuncts in order",
-        )
-    elif tag in ("NegOrE1", "NegOrE2"):
-        arity(1)
-        major = prems[0]
-        _expect(
-            isinstance(major, Neg) and isinstance(major.body, Or),
-            f"{tag} premise must negate a disjunction",
-        )
-        part = major.body.left if tag == "NegOrE1" else major.body.right
-        _expect(c == Neg(part), f"{tag} conclusion must negate that disjunct")
-    elif tag == "NegNegI":
-        arity(1)
-        _expect(c == Neg(Neg(prems[0])), "NegNegI conclusion must doubly negate the premise")
-    elif tag == "NegNegE":
-        arity(1)
-        _expect(
-            isinstance(prems[0], Neg) and isinstance(prems[0].body, Neg),
-            "NegNegE premise must be a double negation",
-        )
-        _expect(c == prems[0].body.body, "NegNegE conclusion must drop both negations")
-    elif tag == "BoxI":
-        arity(2)
-        _expect(isinstance(c, Box), "BoxI conclusion must be a box")
-        _expect(prems[0] == c.body, "BoxI first premise must conclude the boxed formula")
-        _expect(prems[1] == Bot(), "BoxI second premise must conclude bot")
-        _expect(
-            node.discharges[0][1] == Neg(c.body),
-            "BoxI must discharge the negation of the boxed formula",
-        )
-    elif tag == "BoxE":
-        arity(1)
-        _expect(isinstance(prems[0], Box), "BoxE premise must be a box")
-        _expect(c == prems[0].body, "BoxE conclusion must unbox the premise")
-    elif tag == "NegBoxI":
-        arity(1)
-        _expect(isinstance(prems[0], Neg), "NegBoxI premise must be a negation")
-        _expect(c == Neg(Box(prems[0].body)), "NegBoxI conclusion must be ~[] of the body")
-    elif tag == "NegBoxE":
-        arity(2)
-        major = prems[0]
-        _expect(
-            isinstance(major, Neg) and isinstance(major.body, Box),
-            "NegBoxE major premise must be a negated box",
-        )
-        _expect(prems[1] == major.body.body, "NegBoxE minor must conclude the boxed formula")
-        _expect(c == Neg(major.body.body), "NegBoxE conclusion must negate the boxed formula")
-    elif tag == "BotI":
-        arity(1)
-        shape = prems[0]
-        ok = (
-            isinstance(shape, And)
-            and isinstance(shape.left, Neg)
-            and isinstance(shape.right, Box)
-            and shape.left.body == shape.right.body
-        )
-        _expect(ok, "BotI premise must have the shape ~f & []f")
-        _expect(c == Bot(), "BotI concludes bot")
-    elif tag == "BotE":
-        arity(1)
-        _expect(prems[0] == Bot(), "BotE premise must conclude bot")
+    premises, conclusion, discharges = _SCHEMAS[tag]
+    for what, want, got in (("discharge", discharges, node.discharges),
+                            ("premise", premises, node.premises)):
+        if len(got) != len(want):
+            raise SchemaError(f"{tag} takes {len(want)} {what}(s), got {len(got)}")
+    binding = {}
+    _expect_premises(tag, premises, node.premises, binding)
+    _expect(tag, "conclusion", conclusion, node.conclusion, binding)
+    for i, (pattern, (_, f)) in enumerate(zip(discharges, node.discharges)):
+        _expect(tag, f"discharge {i}", pattern, f, binding)
 
 
 def check(proof):
@@ -269,17 +205,7 @@ def check(proof):
             return {t.marker: t.formula}, set()
         if isinstance(t, MA):
             _check_language(t.formula)
-            f = t.formula
-            ok = (
-                isinstance(f, Or)
-                and isinstance(f.right, Neg)
-                and isinstance(f.right.body, Box)
-                and f.right.body.body == f.left
-            )
-            if not ok:
-                raise SchemaError(
-                    f"MA formula must have the shape f | ~[]f, got {render(f)}"
-                )
+            _expect("MA", "formula", _MA_SHAPE, t.formula, {})
             return {}, set()
         if not isinstance(t, Rule):
             raise SchemaError(f"not a proof node: {t!r}")
@@ -318,9 +244,15 @@ def check(proof):
 # --- convenience builders (conclusions computed from the premises) -----------
 
 
-def _require(condition, message):
-    if not condition:
-        raise ValueError(message)
+def _build(tag, premises, markers=(), **given):
+    """The tag's rule application to premises, its conclusion and discharged
+    formulas instantiated from the metavariables the premises and given bind.
+    Raises SchemaError if a premise does not fit the schema."""
+    premise_patterns, conclusion, discharges = _SCHEMAS[tag]
+    binding = dict(given)
+    _expect_premises(tag, premise_patterns, premises, binding)
+    return Rule(tag, instantiate(conclusion, binding), premises,
+                tuple((m, instantiate(f, binding)) for m, f in zip(markers, discharges)))
 
 
 def assume(f, marker=None):
@@ -329,139 +261,87 @@ def assume(f, marker=None):
 
 def ma(f):
     """MA leaf for the formula f: concludes f | ~[]f."""
-    return MA(Or(f, Neg(Box(f))))
+    return MA(instantiate(_MA_SHAPE, {"a": f}))
 
 
 def and_i(d1, d2):
-    return Rule("AndI", And(conclusion_of(d1), conclusion_of(d2)), (d1, d2))
+    return _build("AndI", (d1, d2))
 
 
 def and_e1(d):
-    c = conclusion_of(d)
-    _require(isinstance(c, And), "and_e1 wants a conjunction")
-    return Rule("AndE1", c.left, (d,))
+    return _build("AndE1", (d,))
 
 
 def and_e2(d):
-    c = conclusion_of(d)
-    _require(isinstance(c, And), "and_e2 wants a conjunction")
-    return Rule("AndE2", c.right, (d,))
+    return _build("AndE2", (d,))
 
 
 def neg_and_i1(d, other):
-    c = conclusion_of(d)
-    _require(isinstance(c, Neg), "neg_and_i1 wants a negation")
-    return Rule("NegAndI1", Neg(And(c.body, other)), (d,))
+    return _build("NegAndI1", (d,), b=other)
 
 
 def neg_and_i2(d, other):
-    c = conclusion_of(d)
-    _require(isinstance(c, Neg), "neg_and_i2 wants a negation")
-    return Rule("NegAndI2", Neg(And(other, c.body)), (d,))
+    return _build("NegAndI2", (d,), a=other)
 
 
 def neg_and_e(major, minor1, minor2, u, v):
-    c = conclusion_of(major)
-    _require(
-        isinstance(c, Neg) and isinstance(c.body, And),
-        "neg_and_e wants a negated conjunction major",
-    )
-    return Rule(
-        "NegAndE",
-        conclusion_of(minor1),
-        (major, minor1, minor2),
-        ((u, Neg(c.body.left)), (v, Neg(c.body.right))),
-    )
+    return _build("NegAndE", (major, minor1, minor2), (u, v))
 
 
 def or_i1(d, other):
-    return Rule("OrI1", Or(conclusion_of(d), other), (d,))
+    return _build("OrI1", (d,), b=other)
 
 
 def or_i2(d, other):
-    return Rule("OrI2", Or(other, conclusion_of(d)), (d,))
+    return _build("OrI2", (d,), a=other)
 
 
 def or_e(major, minor1, minor2, u, v):
-    c = conclusion_of(major)
-    _require(isinstance(c, Or), "or_e wants a disjunction major")
-    return Rule(
-        "OrE",
-        conclusion_of(minor1),
-        (major, minor1, minor2),
-        ((u, c.left), (v, c.right)),
-    )
+    return _build("OrE", (major, minor1, minor2), (u, v))
 
 
 def neg_or_i(d1, d2):
-    c1, c2 = conclusion_of(d1), conclusion_of(d2)
-    _require(isinstance(c1, Neg) and isinstance(c2, Neg), "neg_or_i wants negations")
-    return Rule("NegOrI", Neg(Or(c1.body, c2.body)), (d1, d2))
+    return _build("NegOrI", (d1, d2))
 
 
 def neg_or_e1(d):
-    c = conclusion_of(d)
-    _require(
-        isinstance(c, Neg) and isinstance(c.body, Or),
-        "neg_or_e1 wants a negated disjunction",
-    )
-    return Rule("NegOrE1", Neg(c.body.left), (d,))
+    return _build("NegOrE1", (d,))
 
 
 def neg_or_e2(d):
-    c = conclusion_of(d)
-    _require(
-        isinstance(c, Neg) and isinstance(c.body, Or),
-        "neg_or_e2 wants a negated disjunction",
-    )
-    return Rule("NegOrE2", Neg(c.body.right), (d,))
+    return _build("NegOrE2", (d,))
 
 
 def neg_neg_i(d):
-    return Rule("NegNegI", Neg(Neg(conclusion_of(d))), (d,))
+    return _build("NegNegI", (d,))
 
 
 def neg_neg_e(d):
-    c = conclusion_of(d)
-    _require(
-        isinstance(c, Neg) and isinstance(c.body, Neg),
-        "neg_neg_e wants a double negation",
-    )
-    return Rule("NegNegE", c.body.body, (d,))
+    return _build("NegNegE", (d,))
 
 
 def box_i(d, bot_deriv, marker):
-    f = conclusion_of(d)
-    return Rule("BoxI", Box(f), (d, bot_deriv), ((marker, Neg(f)),))
+    return _build("BoxI", (d, bot_deriv), (marker,))
 
 
 def box_e(d):
-    c = conclusion_of(d)
-    _require(isinstance(c, Box), "box_e wants a box")
-    return Rule("BoxE", c.body, (d,))
+    return _build("BoxE", (d,))
 
 
 def neg_box_i(d):
-    c = conclusion_of(d)
-    _require(isinstance(c, Neg), "neg_box_i wants a negation")
-    return Rule("NegBoxI", Neg(Box(c.body)), (d,))
+    return _build("NegBoxI", (d,))
 
 
 def neg_box_e(major, minor):
-    c = conclusion_of(major)
-    _require(
-        isinstance(c, Neg) and isinstance(c.body, Box),
-        "neg_box_e wants a negated box major",
-    )
-    return Rule("NegBoxE", Neg(c.body.body), (major, minor))
+    return _build("NegBoxE", (major, minor))
 
 
 def bot_i(d):
-    return Rule("BotI", Bot(), (d,))
+    return _build("BotI", (d,))
 
 
 def bot_e(d, f):
-    return Rule("BotE", f, (d,))
+    return _build("BotE", (d,), c=f)
 
 
 # --- segments, cuts, normality ------------------------------------------------
@@ -592,19 +472,22 @@ class _MarkerSupply:
                 return name
 
 
-def _rename_markers(t, mapping):
-    if isinstance(t, Assume):
-        if t.marker in mapping:
-            return Assume(t.formula, mapping[t.marker])
-        return t
-    if isinstance(t, MA):
-        return t
-    return Rule(
-        t.tag,
-        t.conclusion,
-        tuple(_rename_markers(p, mapping) for p in t.premises),
-        tuple((mapping.get(m, m), f) for m, f in t.discharges),
-    )
+def _rebuild(tree, leaf, mapping):
+    """Copy tree with every Assume leaf t replaced by leaf(t) and every
+    discharge marker renamed through mapping."""
+    if isinstance(tree, Assume):
+        return leaf(tree)
+    if isinstance(tree, MA):
+        return tree
+    return Rule(tree.tag, tree.conclusion,
+                tuple(_rebuild(p, leaf, mapping) for p in tree.premises),
+                tuple((mapping.get(m, m), f) for m, f in tree.discharges))
+
+
+def _rename_markers(tree, mapping):
+    def leaf(t):
+        return Assume(t.formula, mapping[t.marker]) if t.marker in mapping else t
+    return _rebuild(tree, leaf, mapping)
 
 
 def _refresh(tree, supply):
@@ -633,18 +516,9 @@ def _assume_sites(tree, marker):
 
 def _substitute(tree, marker, replacement, supply):
     """Plug a derivation in for every assumption of the given class."""
-    if isinstance(tree, Assume):
-        if tree.marker == marker:
-            return _refresh(replacement, supply)
-        return tree
-    if isinstance(tree, MA):
-        return tree
-    return Rule(
-        tree.tag,
-        tree.conclusion,
-        tuple(_substitute(p, marker, replacement, supply) for p in tree.premises),
-        tree.discharges,
-    )
+    def leaf(t):
+        return _refresh(replacement, supply) if t.marker == marker else t
+    return _rebuild(tree, leaf, {})
 
 
 def _replace_at(tree, path, new):
@@ -670,39 +544,28 @@ def _is_nd_literal(f):
     return isinstance(f, Neg) and isinstance(f.body, (Var, Bot))
 
 
+# The introduction rules a bot derivation is pushed through, first match first.
+_BOT_INTROS = ("AndI", "OrI1", "BoxI", "NegAndI1", "NegOrI", "NegNegI", "NegBoxI")
+
+
 def _bot_elim(bot_deriv, target, supply):
     """A derivation of target from the given derivation of bot, where every
     remaining BotE concludes a literal."""
     if _is_nd_literal(target):
         return bot_e(bot_deriv, target)
-    if isinstance(target, Bot):
+    if target == BOT:
         return bot_deriv
-    if isinstance(target, And):
-        return and_i(
-            _bot_elim(bot_deriv, target.left, supply),
-            _bot_elim(_refresh(bot_deriv, supply), target.right, supply),
-        )
-    if isinstance(target, Or):
-        return or_i1(_bot_elim(bot_deriv, target.left, supply), target.right)
-    if isinstance(target, Box):
-        return box_i(
-            _bot_elim(bot_deriv, target.body, supply),
-            _refresh(bot_deriv, supply),
-            supply.fresh(),
-        )
-    if isinstance(target, Neg):
-        body = target.body
-        if isinstance(body, And):
-            return neg_and_i1(_bot_elim(bot_deriv, Neg(body.left), supply), body.right)
-        if isinstance(body, Or):
-            return neg_or_i(
-                _bot_elim(bot_deriv, Neg(body.left), supply),
-                _bot_elim(_refresh(bot_deriv, supply), Neg(body.right), supply),
-            )
-        if isinstance(body, Neg):
-            return neg_neg_i(_bot_elim(bot_deriv, body.body, supply))
-        if isinstance(body, Box):
-            return neg_box_i(_bot_elim(bot_deriv, Neg(body.body), supply))
+    for tag in _BOT_INTROS:
+        premises, conclusion, discharges = _SCHEMAS[tag]
+        binding = {}
+        if match(conclusion, target, binding):
+            derivations = [
+                _bot_elim(bot_deriv if i == 0 else _refresh(bot_deriv, supply),
+                          instantiate(p, binding), supply)
+                for i, p in enumerate(premises)
+            ]
+            markers = [supply.fresh() for _ in discharges]
+            return _build(tag, tuple(derivations), markers, **binding)
     raise InvariantViolation(f"no bot decomposition for {render(target)}")
 
 
@@ -846,11 +709,10 @@ def normalize(proof, observer=None):
     the engine and InvariantViolation is raised."""
     check(proof)
     result = atomize_bot(proof)
-    if observer is not None and result != proof:
-        observer({"step": 0, "kind": "atomize", "formula": None,
-                  "measure": _measure(analyze(result))})
     report = analyze(result)
     measure = _measure(report)
+    if observer is not None and result != proof:
+        observer({"step": 0, "kind": "atomize", "formula": None, "measure": measure})
     step = 1
     while report.critical:
         seg = max(report.critical, key=lambda s: s.positions[0])

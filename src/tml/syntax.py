@@ -168,6 +168,40 @@ def _fold(f, table, name=None):
     return step(f)
 
 
+# A pattern is a formula whose variables are metavariables: each stands for
+# any formula, the same one at every occurrence.
+
+
+def match(pattern, f, binding):
+    """Whether f is an instance of pattern under an extension of binding (a
+    dict from metavariable name to formula).  Binds unbound metavariables in
+    binding as it goes, left to right, also when the match fails."""
+    stack = [(pattern, f)]
+    while stack:
+        p, g = stack.pop()
+        kind = type(p)
+        if kind is Var:
+            if binding.setdefault(p.name, g) != g:
+                return False
+        elif kind is not type(g):
+            return False
+        elif kind in _UNARY:
+            stack.append((p.body, g.body))
+        elif kind in _BINARY:
+            stack.append((p.right, g.right))
+            stack.append((p.left, g.left))
+    return True
+
+
+_REBUILD = {**dict.fromkeys(_ATOMS, lambda f: f), **{k: k for k in _UNARY | _BINARY}}
+
+
+def instantiate(pattern, binding):
+    """pattern with every metavariable bound in binding replaced by its
+    formula; unbound ones stay as they are."""
+    return _fold(pattern, {**_REBUILD, Var: lambda v: binding.get(v.name, v)})
+
+
 # --- parsing ---------------------------------------------------------------
 
 def _lex(text):

@@ -413,7 +413,7 @@ def extract_model(branch, names=()):
         allowed = _RANGE[(sf.sign, negated)]
         constraints[atom.name] = constraints.get(atom.name, frozenset(VALUES)) & allowed
     model = {}
-    for name in set(names) | set(constraints):
+    for name in sorted(set(names) | set(constraints)):
         allowed = constraints.get(name, frozenset(VALUES))
         if not allowed:
             raise InvariantViolation(

@@ -1,12 +1,15 @@
 import contextlib
+import copy
 import io
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofgen import random_injected_proof, random_proof
 from tml import nd, tableau
 from tml.cli import main
 from tml.syntax import MAX_DEPTH, parse
@@ -382,22 +385,13 @@ def golden_files(tmp_path_factory):
     return paths
 
 
-def _comparable(argv, stdout):
-    # decide() extracts countermodels from sets, so the key order of a
-    # countermodel under `prove --json` follows the hash seed.
-    if argv[0] == "prove" and "--json" in argv:
-        obj = json.loads(stdout)
-        return list(obj), obj
-    return stdout
-
-
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]))
 def test_golden_output(capsys, golden_files, case):
     argv = [str(golden_files[a[1:-1]]) if a.startswith("{") else a
             for a in case["argv"]]
     code, out, err = run(capsys, *argv)
     assert code == case["exit"]
-    assert _comparable(argv, out) == _comparable(argv, case["stdout"])
+    assert out == case["stdout"]
     assert err == case["stderr"]
 
 
@@ -494,3 +488,51 @@ def test_generated_input_keeps_the_exit_contract(argv):
     assert "Traceback" not in err.getvalue()
     if "--json" in argv and code in (0, 1):
         json.loads(out.getvalue())
+
+
+# --- mutated proofs -------------------------------------------------------------------
+
+
+_JUNK = [None, 0, -1, 2.5, True, "", "p &", "top", "<>p", "p > q", "p", "~~p", "[]p",
+         "q & p", "bot", "AndI", "BotE", "MA", "Assume", "Frobnicate", [], [None], ["u"],
+         [[]], {}, {"rule": "Assume"}, {"rule": "MA", "formula": "p"},
+         {"marker": "u", "formula": "p"}]
+
+
+def _objects(obj):
+    """Every JSON object in obj: proof nodes and discharge entries."""
+    stack, out = [obj], []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            out.append(x)
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+    return out
+
+
+def _mutant(rng):
+    """A generated proof with 1-3 fields of random objects set to junk: a
+    field the object has, or an extra key."""
+    proof = (random_proof(rng, fuel=3) if rng.random() < 0.5
+             else random_injected_proof(rng, fuel=2))
+    obj = nd.to_json(proof)
+    for _ in range(rng.randint(1, 3)):
+        target = rng.choice(_objects(obj))
+        target[rng.choice(sorted(target) + ["extra"])] = copy.deepcopy(rng.choice(_JUNK))
+    return obj
+
+
+def test_mutated_proofs_keep_the_exit_contract(tmp_path):
+    rng = random.Random(2024)
+    path = tmp_path / "proof.json"
+    for _ in range(400):
+        obj = _mutant(rng)
+        path.write_text(json.dumps(obj))
+        for command in ("nd-check", "nd-normalize"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2), (command, obj, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -118,41 +119,61 @@ def test_box_i_schema_and_discharge():
 
 
 def test_rule_conclusion_must_match_schema():
-    # a conclusion the schema does not force is rejected for every rule kind
+    # a conclusion the schema does not force is rejected for every rule kind;
+    # the message starts with the tag and names the part that does not fit
     a = nd.Assume
     zz = Var("zz")
     bad = [
-        nd.Rule("AndI", zz, (a(P), a(Q))),
-        nd.Rule("AndE1", Q, (a(parse("p & q")),)),
-        nd.Rule("AndE2", P, (a(parse("p & q")),)),
-        nd.Rule("NegAndI1", parse("~(q & p)"), (a(parse("~p")),)),
-        nd.Rule("NegAndE", P, (a(parse("~(p & q)")), a(P), a(Q)),
-                (("u", parse("~p")), ("v", parse("~q")))),
-        nd.Rule("OrI1", parse("q | p"), (a(P),)),
-        nd.Rule("OrE", P, (a(parse("p | q")), a(P), a(P)),
-                (("u", Q), ("v", P))),
-        nd.Rule("NegOrI", parse("~(q | p)"), (a(parse("~p")), a(parse("~q")))),
-        nd.Rule("NegOrE1", parse("~q"), (a(parse("~(p | q)")),)),
-        nd.Rule("NegNegI", parse("~~q"), (a(P),)),
-        nd.Rule("NegNegE", Q, (a(parse("~~p")),)),
-        nd.Rule("BoxI", parse("[]q"), (a(P), a(Bot())), (("u", parse("~p")),)),
-        nd.Rule("BoxI", parse("[]p"), (a(P), a(P)), (("u", parse("~p")),)),
-        nd.Rule("BoxI", parse("[]p"), (a(P), a(Bot())), (("u", parse("~q")),)),
-        nd.Rule("BoxE", Q, (a(parse("[]p")),)),
-        nd.Rule("NegBoxI", parse("~[]q"), (a(parse("~p")),)),
-        nd.Rule("NegBoxE", parse("~q"), (a(parse("~[]p")), a(P))),
-        nd.Rule("NegBoxE", parse("~p"), (a(parse("~[]p")), a(Q))),
-        nd.Rule("BotI", Bot(), (a(parse("~p & []q")),)),
-        nd.Rule("BotI", P, (a(parse("~p & []p")),)),
-        nd.Rule("BotE", P, (a(Q),)),
-        nd.Rule("AndI", parse("p & q"), (a(P),)),
-        nd.Rule("AndE1", P, (a(parse("p & q")), a(Q))),
-        nd.Rule("OrE", P, (a(parse("p | q")), a(P), a(P))),
-        nd.Rule("AndI", parse("p & q"), (a(P), a(Q)), (("u", P),)),
+        ("conclusion", nd.Rule("AndI", zz, (a(P), a(Q)))),
+        ("conclusion", nd.Rule("AndE1", Q, (a(parse("p & q")),))),
+        ("conclusion", nd.Rule("AndE2", P, (a(parse("p & q")),))),
+        ("conclusion", nd.Rule("NegAndI1", parse("~(q & p)"), (a(parse("~p")),))),
+        ("premise 2", nd.Rule("NegAndE", P, (a(parse("~(p & q)")), a(P), a(Q)),
+                              (("u", parse("~p")), ("v", parse("~q"))))),
+        ("conclusion", nd.Rule("OrI1", parse("q | p"), (a(P),))),
+        ("discharge 0", nd.Rule("OrE", P, (a(parse("p | q")), a(P), a(P)),
+                                (("u", Q), ("v", P)))),
+        ("conclusion", nd.Rule("NegOrI", parse("~(q | p)"),
+                               (a(parse("~p")), a(parse("~q"))))),
+        ("conclusion", nd.Rule("NegOrE1", parse("~q"), (a(parse("~(p | q)")),))),
+        ("conclusion", nd.Rule("NegNegI", parse("~~q"), (a(P),))),
+        ("conclusion", nd.Rule("NegNegE", Q, (a(parse("~~p")),))),
+        ("conclusion", nd.Rule("BoxI", parse("[]q"), (a(P), a(Bot())),
+                               (("u", parse("~p")),))),
+        ("premise 1", nd.Rule("BoxI", parse("[]p"), (a(P), a(P)), (("u", parse("~p")),))),
+        ("discharge 0", nd.Rule("BoxI", parse("[]p"), (a(P), a(Bot())),
+                                (("u", parse("~q")),))),
+        ("conclusion", nd.Rule("BoxE", Q, (a(parse("[]p")),))),
+        ("conclusion", nd.Rule("NegBoxI", parse("~[]q"), (a(parse("~p")),))),
+        ("conclusion", nd.Rule("NegBoxE", parse("~q"), (a(parse("~[]p")), a(P)))),
+        ("premise 1", nd.Rule("NegBoxE", parse("~p"), (a(parse("~[]p")), a(Q)))),
+        ("premise", nd.Rule("BotI", Bot(), (a(parse("~p & []q")),))),
+        ("conclusion", nd.Rule("BotI", P, (a(parse("~p & []p")),))),
+        ("premise", nd.Rule("BotE", P, (a(Q),))),
+        ("takes 2 premise(s), got 1", nd.Rule("AndI", parse("p & q"), (a(P),))),
+        ("takes 1 premise(s), got 2", nd.Rule("AndE1", P, (a(parse("p & q")), a(Q)))),
+        ("takes 2 discharge(s), got 0", nd.Rule("OrE", P, (a(parse("p | q")), a(P), a(P)))),
+        ("takes 0 discharge(s), got 1", nd.Rule("AndI", parse("p & q"), (a(P), a(Q)),
+                                         (("u", P),))),
     ]
-    for proof in bad:
-        with pytest.raises(nd.SchemaError):
+    for role, proof in bad:
+        with pytest.raises(nd.SchemaError) as caught:
             nd.check(proof)
+        message = str(caught.value)
+        assert (message.startswith(f"{proof.tag} {role} must be ")
+                or message == f"{proof.tag} {role}"), message
+
+
+@pytest.mark.parametrize("proof,message", [
+    (nd.Rule("AndE2", P, (nd.Assume(parse("p & q")),)), "AndE2 conclusion must be q"),
+    (nd.Rule("BoxE", P, (nd.Assume(P),)), "BoxE premise must be a box"),
+    (nd.Rule("BotI", Bot(), (nd.Assume(parse("~p & []q")),)),
+     "BotI premise must be ~p & []p"),
+    (nd.MA(parse("p | ~[]q")), "MA formula must be p | ~[]p"),
+])
+def test_schema_error_messages(proof, message):
+    with pytest.raises(nd.SchemaError, match=f"^{re.escape(message)}$"):
+        nd.check(proof)
 
 
 # --- checking: discharge discipline ---------------------------------------------
@@ -220,6 +241,19 @@ def test_builders_reject_wrong_shapes():
         nd.neg_neg_e(nd.Assume(parse("~p")))
     with pytest.raises(ValueError):
         nd.or_e(nd.Assume(P), nd.Assume(Q), nd.Assume(Q), "u", "v")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: nd.or_e(nd.Assume(parse("p | q")), nd.Assume(P), nd.Assume(Q), "u", "v"),
+     "OrE premise 2 must be p"),
+    (lambda: nd.bot_i(nd.Assume(P)), "BotI premise must be a conjunction"),
+    (lambda: nd.box_i(nd.Assume(P), nd.Assume(Q), "u"), "BoxI premise 1 must be bot"),
+])
+def test_builders_check_every_premise(build, message):
+    # these builders used to return the ill-formed node
+    with pytest.raises(nd.SchemaError, match=f"^{re.escape(message)}$"):
+        build()
+    assert issubclass(nd.SchemaError, ValueError)
 
 
 def test_ma_builder():
