@@ -62,10 +62,6 @@ NULLARY_OPS = {"bot": ZERO, "top": ONE}
 OP_NAMES = tuple(NULLARY_OPS) + tuple(UNARY_OPS) + tuple(BINARY_OPS)
 
 
-def is_value(v):
-    return v in VALUES
-
-
 def designated(v):
     """True iff v counts as true (b or 1)."""
     return v in DESIGNATED

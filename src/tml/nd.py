@@ -848,10 +848,10 @@ def _from_json(obj):
         marker = obj.get("marker")
         if marker is not None and not isinstance(marker, str):
             raise ValueError("marker must be a string or null")
-        return Assume(parse(obj["formula"]), marker)
+        return Assume(parse(_text(obj, "formula")), marker)
     if rule == "MA":
-        return MA(parse(obj["formula"]))
-    if rule not in TAGS:
+        return MA(parse(_text(obj, "formula")))
+    if not isinstance(rule, str) or rule not in TAGS:
         raise ValueError(f"unknown rule tag {rule!r}")
     premises = obj.get("premises", [])
     if not isinstance(premises, list):
@@ -859,12 +859,20 @@ def _from_json(obj):
     discharges = obj.get("discharges", [])
     if not isinstance(discharges, list):
         raise ValueError("discharges must be a list")
-    for d in discharges:
-        if not isinstance(d["marker"], str):
-            raise ValueError("discharge marker must be a string")
+    for i, d in enumerate(discharges):
+        if not (isinstance(d, dict) and isinstance(d.get("marker"), str)
+                and isinstance(d.get("formula"), str)):
+            raise ValueError(f"discharges[{i}] must be an object with string 'marker' and 'formula'")
     return Rule(
         rule,
-        parse(obj["conclusion"]),
+        parse(_text(obj, "conclusion")),
         tuple(_from_json(p) for p in premises),
         tuple((d["marker"], parse(d["formula"])) for d in discharges),
     )
+
+
+def _text(obj, key):
+    """obj[key] if it is a string; a missing key raises KeyError."""
+    if not isinstance(obj[key], str):
+        raise ValueError(f"{key} must be a string")
+    return obj[key]

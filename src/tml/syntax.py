@@ -19,6 +19,7 @@ Nesting is bounded by MAX_DEPTH.
 
 import enum
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -200,6 +201,34 @@ def instantiate(pattern, binding):
     """pattern with every metavariable bound in binding replaced by its
     formula; unbound ones stay as they are."""
     return _fold(pattern, {**_REBUILD, Var: lambda v: binding.get(v.name, v)})
+
+
+_OPERANDS = {**dict.fromkeys(_UNARY, ("body",)), **dict.fromkeys(_BINARY, ("left", "right"))}
+
+
+def _lift(kind):
+    if kind in _UNARY:
+        return lambda g: lambda f: kind(g(f))
+    return lambda g, h: lambda f: kind(g(f), h(f))
+
+
+_LIFT = {**dict.fromkeys(_ATOMS, lambda a: lambda f: a), **{k: _lift(k) for k in _OPERANDS}}
+
+
+def instantiator(pattern, template):
+    """A compiled instantiate: the function taking each instance f of pattern
+    to instantiate(template, binding), where match(pattern, f, binding) binds
+    the metavariables.  It does not match, but reads each metavariable (or
+    the whole template, if that is a subpattern of pattern) off f by its
+    attribute path, so f must be an instance of pattern, and every
+    metavariable of template must occur in pattern."""
+    reads, stack = {}, [(pattern, ())]
+    while stack:
+        p, path = stack.pop()
+        reads.setdefault(p, operator.attrgetter(".".join(path)) if path else lambda f: f)
+        stack += [(getattr(p, name), path + (name,))
+                  for name in reversed(_OPERANDS.get(type(p), ()))]
+    return reads.get(template) or _fold(template, {**_LIFT, Var: reads.__getitem__})
 
 
 # --- parsing ---------------------------------------------------------------

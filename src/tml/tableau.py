@@ -10,6 +10,7 @@ on {&, |, ~, []}.  decide() translates its input first, so callers can hand
 either calculus an arbitrary formula.
 """
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,11 +19,10 @@ from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
 from .semantics import evaluate
 from .syntax import (
-    And,
+    BOT,
+    TOP,
     Bot,
-    Box,
     Neg,
-    Or,
     SYMBOLS,
     Signature,
     SignatureError,
@@ -31,6 +31,8 @@ from .syntax import (
     Var,
     entailment,
     in_signature,
+    instantiator,
+    parse,
     render,
     translate,
     variables,
@@ -65,129 +67,121 @@ def satisfies(h, sf):
     return (value in DESIGNATED) == (sf.sign == "T")
 
 
+# The rules of both calculi: (sign, principal pattern) -> alternatives, each a
+# list of signed patterns.  a and b stand for the parts of the principal
+# formula.  The ~~a rows belong to both systems.
+_DOUBLE_NEGATION = {("T", "~~a"): [["T a"]], ("F", "~~a"): [["F a"]]}
+_RULES = {
+    Signature.SUCC: {
+        **_DOUBLE_NEGATION,
+        ("T", "a > b"): [["T b"], ["T ~a", "F b", "T ~b"], ["F a", "F b", "F ~b"]],
+        ("F", "a > b"): [["T a", "F b", "F ~b"], ["F ~a", "F b", "T ~b"]],
+        ("T", "~(a > b)"): [["T a", "F b", "T ~b"], ["F ~a", "T b", "T ~b"]],
+        ("F", "~(a > b)"): [["F ~b"], ["T ~a", "T b", "T ~b"], ["F a", "F b", "T ~b"]],
+    },
+    Signature.FULL: {
+        **_DOUBLE_NEGATION,
+        ("T", "a & b"): [["T a", "T b"]],
+        ("F", "a & b"): [["F a"], ["F b"]],
+        ("T", "a | b"): [["T a"], ["T b"]],
+        ("F", "a | b"): [["F a", "F b"]],
+        ("T", "[]a"): [["T a", "F ~a"]],
+        ("F", "[]a"): [["F a"], ["T ~a"]],
+        ("T", "~(a & b)"): [["T ~a"], ["T ~b"]],
+        ("F", "~(a & b)"): [["F ~a", "F ~b"]],
+        ("T", "~(a | b)"): [["T ~a", "T ~b"]],
+        ("F", "~(a | b)"): [["F ~a"], ["F ~b"]],
+        ("T", "~[]a"): [["F []a"]],
+        ("F", "~[]a"): [["T []a"]],
+    },
+}
+
+# The succ system's two-premise shortcuts for a signed a > b beside a signed
+# ~(a > b), keyed by the two signs in that order.
+_DERIVED_RULES = {
+    ("T", "T"): [["F ~a", "T b", "T ~b"], ["T a", "T ~a", "F b", "T ~b"]],
+    ("F", "F"): [["T a", "F b", "F ~b"], ["F a", "F ~a", "F b", "T ~b"]],
+    ("T", "F"): [["F a", "T ~a"], ["F a", "F ~a", "F b", "F ~b"],
+                 ["T a", "T ~a", "T b", "T ~b"], ["T b", "F ~b"]],
+    ("F", "T"): [["T a", "F ~a", "F b", "T ~b"]],
+}
+_PAIR = ("a > b", "~(a > b)")
+
+
+def _shape(f):
+    """The key of f's rule: its connective and, under ~, the body's."""
+    kind = type(f)
+    return kind, type(f.body) if kind is Neg else None
+
+
+# Rows share most (principal, template) pairs; compile each pair once.
+_instantiator = functools.cache(lambda p, t: instantiator(parse(p), parse(t)))
+
+
+def _compile(principal, alternatives):
+    """One row's rule: from an instance of principal to its alternatives."""
+    alternatives = [[(item[0], _instantiator(principal, item[2:])) for item in alt]
+                    for alt in alternatives]
+    return lambda f: [[SignedFormula(sign, build(f)) for sign, build in alt]
+                      for alt in alternatives]
+
+
+def _index(rows):
+    """Key each row by its sign and _shape, and pair its compiled rule with
+    its label: the sign and the principal's connectives, as in T(~>)."""
+    index = {}
+    for (sign, text), alternatives in rows.items():
+        kind, under = _shape(parse(text))
+        label = f"{sign}({SYMBOLS[kind]}{SYMBOLS.get(under, '')})"
+        index[sign, kind, under] = label, _compile(text, alternatives)
+    return index
+
+
+_INDEX = {system: _index(rows) for system, rows in _RULES.items()}
+_DERIVED = {signs: _compile(_PAIR[0], alts) for signs, alts in _DERIVED_RULES.items()}
+# The formula a signed a > b or ~(a > b) pairs with under a derived rule.
+_PARTNER = {_shape(parse(p)): _instantiator(p, q) for p, q in (_PAIR, _PAIR[::-1])}
+
+_LITERALS = frozenset(shape for k in (Var, Bot, Top) for shape in ((k, None), (Neg, k)))
+
 # Signed constants that no valuation satisfies; adding one closes a branch.
-_CLOSING = frozenset([T(Bot()), F(Neg(Bot())), F(Top()), T(Neg(Top()))])
+_CLOSING = frozenset(sf for f in (BOT, TOP, Neg(BOT), Neg(TOP)) for sf in (T(f), F(f))
+                     if not satisfies({}, sf))
+
+# The values a signed literal over a variable allows it, keyed by the sign
+# and the literal's shape.
+_ALLOWED = {
+    (sf.sign, *_shape(sf.formula)): frozenset(v for v in VALUES if satisfies({"a": v}, sf))
+    for f in (Var("a"), Neg(Var("a"))) for sf in (T(f), F(f))
+}
 
 
-def _is_literal(f):
-    if isinstance(f, (Var, Bot, Top)):
-        return True
-    return isinstance(f, Neg) and isinstance(f.body, (Var, Bot, Top))
+def _rule(sf, system):
+    """The (label, rule) of sf's row in the system's table; None for a
+    literal.  Raises SignatureError when sf has no row."""
+    kind, under = _shape(sf.formula)
+    rule = _INDEX[system].get((sf.sign, kind, under))
+    if rule is None and (kind, under) not in _LITERALS:
+        raise SignatureError(f"no {system.value}-system rule for {sf}")
+    return rule
 
 
 def expand(sf, system):
     """Rule table: the alternatives for one signed formula, each alternative
     a list of signed formulas.  Returns None for literals.  Raises
     SignatureError when the formula has no rule in the given system."""
-    f = sf.formula
-    if _is_literal(f):
-        return None
-    if isinstance(f, Neg) and isinstance(f.body, Neg):
-        return [[SignedFormula(sf.sign, f.body.body)]]
-    if system is Signature.SUCC:
-        return _expand_succ(sf)
-    return _expand_full(sf)
-
-
-def _expand_succ(sf):
-    f = sf.formula
-    if isinstance(f, Succ):
-        a, b = f.left, f.right
-        if sf.sign == "T":
-            return [
-                [T(b)],
-                [T(Neg(a)), F(b), T(Neg(b))],
-                [F(a), F(b), F(Neg(b))],
-            ]
-        return [
-            [T(a), F(b), F(Neg(b))],
-            [F(Neg(a)), F(b), T(Neg(b))],
-        ]
-    if isinstance(f, Neg) and isinstance(f.body, Succ):
-        a, b = f.body.left, f.body.right
-        if sf.sign == "T":
-            return [
-                [T(a), F(b), T(Neg(b))],
-                [F(Neg(a)), T(b), T(Neg(b))],
-            ]
-        return [
-            [F(Neg(b))],
-            [T(Neg(a)), T(b), T(Neg(b))],
-            [F(a), F(b), T(Neg(b))],
-        ]
-    raise SignatureError(f"no succ-system rule for {sf}")
-
-
-def _expand_full(sf):
-    f = sf.formula
-    t = sf.sign == "T"
-    if isinstance(f, And):
-        a, b = f.left, f.right
-        return [[T(a), T(b)]] if t else [[F(a)], [F(b)]]
-    if isinstance(f, Or):
-        a, b = f.left, f.right
-        return [[T(a)], [T(b)]] if t else [[F(a), F(b)]]
-    if isinstance(f, Box):
-        a = f.body
-        return [[T(a), F(Neg(a))]] if t else [[F(a)], [T(Neg(a))]]
-    if isinstance(f, Neg):
-        g = f.body
-        if isinstance(g, And):
-            a, b = Neg(g.left), Neg(g.right)
-            return [[T(a)], [T(b)]] if t else [[F(a), F(b)]]
-        if isinstance(g, Or):
-            a, b = Neg(g.left), Neg(g.right)
-            return [[T(a), T(b)]] if t else [[F(a)], [F(b)]]
-        if isinstance(g, Box):
-            return [[F(g)]] if t else [[T(g)]]
-    raise SignatureError(f"no full-system rule for {sf}")
+    rule = _rule(sf, system)
+    return None if rule is None else rule[1](sf.formula)
 
 
 def expand_derived(sf1, sf2):
     """Two-premise shortcut rules for the succ system: a signed implication
     paired with a signed negation of the same implication.  Raises ValueError
     if the arguments do not form such a pair."""
-    pair = _match_derived(sf1, sf2)
-    if pair is None:
+    plain, neg = (sf2, sf1) if type(sf1.formula) is Neg else (sf1, sf2)
+    if type(plain.formula) is not Succ or neg.formula != Neg(plain.formula):
         raise ValueError(f"not a derived-rule pair: {sf1}, {sf2}")
-    plain_sign, neg_sign, a, b = pair
-    table = {
-        ("T", "T"): [
-            [F(Neg(a)), T(b), T(Neg(b))],
-            [T(a), T(Neg(a)), F(b), T(Neg(b))],
-        ],
-        ("F", "F"): [
-            [T(a), F(b), F(Neg(b))],
-            [F(a), F(Neg(a)), F(b), T(Neg(b))],
-        ],
-        ("T", "F"): [
-            [F(a), T(Neg(a))],
-            [F(a), F(Neg(a)), F(b), F(Neg(b))],
-            [T(a), T(Neg(a)), T(b), T(Neg(b))],
-            [T(b), F(Neg(b))],
-        ],
-        ("F", "T"): [
-            [T(a), F(Neg(a)), F(b), T(Neg(b))],
-        ],
-    }
-    return table[(plain_sign, neg_sign)]
-
-
-def _match_derived(sf1, sf2):
-    for plain, neg in ((sf1, sf2), (sf2, sf1)):
-        if (
-            isinstance(plain.formula, Succ)
-            and isinstance(neg.formula, Neg)
-            and neg.formula.body == plain.formula
-        ):
-            return plain.sign, neg.sign, plain.formula.left, plain.formula.right
-    return None
-
-
-def _rule_label(sf):
-    f = sf.formula
-    name = "~" + SYMBOLS[type(f.body)] if type(f) is Neg else SYMBOLS[type(f)]
-    return f"{sf.sign}({name})"
+    return _DERIVED[plain.sign, neg.sign](plain.formula)
 
 
 @dataclass
@@ -239,7 +233,7 @@ class Branch:
             self._close(f"{sf} is unsatisfiable")
         elif complement in self.present:
             self._close(f"{sf} conflicts with {complement}")
-        elif not _is_literal(sf.formula):
+        elif _shape(sf.formula) not in _LITERALS:
             self.pending.append(sf)
 
     def _close(self, reason):
@@ -327,29 +321,16 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
 
 
 def _pick_rule(sf, branch, system, derived):
-    if derived and system is Signature.SUCC:
-        partner = _find_partner(sf, branch)
-        if partner is not None:
-            branch.done.add(sf)
-            branch.done.add(partner)
-            label = f"{_rule_label(sf)}+{_rule_label(partner)}"
-            return expand_derived(sf, partner), label
+    label, rule = _rule(sf, system)
+    partner = derived and system is Signature.SUCC and _PARTNER.get(_shape(sf.formula))
+    if partner:
+        g = partner(sf.formula)
+        for cand in (T(g), F(g)):
+            if cand in branch.present and cand not in branch.done:
+                branch.done.update((sf, cand))
+                return expand_derived(sf, cand), f"{label}+{_rule(cand, system)[0]}"
     branch.done.add(sf)
-    return expand(sf, system), _rule_label(sf)
-
-
-def _find_partner(sf, branch):
-    f = sf.formula
-    if isinstance(f, Succ):
-        candidates = (T(Neg(f)), F(Neg(f)))
-    elif isinstance(f, Neg) and isinstance(f.body, Succ):
-        candidates = (T(f.body), F(f.body))
-    else:
-        return None
-    for cand in candidates:
-        if cand in branch.present and cand not in branch.done:
-            return cand
-    return None
+    return rule(sf.formula), label
 
 
 @dataclass
@@ -387,16 +368,6 @@ def decide_consequence(premises, conclusion, system, derived=False, rng=None):
     return decide(entailment(premises, conclusion), system, derived=derived, rng=rng)
 
 
-# Value ranges a signed literal forces on its variable, keyed by
-# (sign, whether the variable sits under a negation).
-_RANGE = {
-    ("T", False): frozenset({"b", "1"}),
-    ("F", False): frozenset({"0", "n"}),
-    ("T", True): frozenset({"0", "b"}),
-    ("F", True): frozenset({"1", "n"}),
-}
-
-
 def extract_model(branch, names=()):
     """Read a valuation off an open branch: intersect the value ranges forced
     by its signed literals, take the least survivor in the order 0, n, b, 1,
@@ -405,12 +376,11 @@ def extract_model(branch, names=()):
         raise ValueError("cannot extract a model from a closed branch")
     constraints = {}
     for sf in branch.formulas:
-        f = sf.formula
-        negated = isinstance(f, Neg)
-        atom = f.body if negated else f
-        if not isinstance(atom, Var):
+        kind, under = _shape(sf.formula)
+        allowed = _ALLOWED.get((sf.sign, kind, under))
+        if allowed is None:
             continue
-        allowed = _RANGE[(sf.sign, negated)]
+        atom = sf.formula.body if under is Var else sf.formula
         constraints[atom.name] = constraints.get(atom.name, frozenset(VALUES)) & allowed
     model = {}
     for name in sorted(set(names) | set(constraints)):
@@ -429,12 +399,8 @@ def format_tableau(tableau):
 
     def walk(node, depth):
         pad = "  " * depth
-        tagged = False
-        for sf in node.added:
-            tag = ""
-            if not tagged and node.rule is not None:
-                tag = f"  [{node.rule}]"
-                tagged = True
+        for i, sf in enumerate(node.added):
+            tag = f"  [{node.rule}]" if i == 0 and node.rule is not None else ""
             lines.append(f"{pad}{sf}{tag}")
         if node.closed:
             lines.append(f"{pad}* closed: {node.close_reason}")

@@ -644,6 +644,17 @@ def test_from_json_rejects_garbage():
                       "discharges": [{"marker": ["u"], "formula": "~p"}]})
     with pytest.raises(KeyError):
         nd.from_json({"rule": "AndI", "premises": []})
+    # a wrong field is named, not reported in Python's own words
+    with pytest.raises(ValueError, match="^formula must be a string$"):
+        nd.from_json({"rule": "Assume", "formula": 5})
+    bad_discharge = "^discharges\\[0\\] must be an object with string 'marker' and 'formula'$"
+    for discharge in ({"formula": "~p"}, ["u", "~p"]):
+        with pytest.raises(ValueError, match=bad_discharge):
+            nd.from_json({"rule": "BoxI", "conclusion": "[]p",
+                          "premises": [{"rule": "MA", "formula": "p | ~[]p"}] * 2,
+                          "discharges": [discharge]})
+    with pytest.raises(ValueError, match="unknown rule tag"):
+        nd.from_json({"rule": ["AndI"], "conclusion": "p"})
 
 
 def _rule_depth(proof):

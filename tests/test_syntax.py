@@ -20,6 +20,9 @@ from tml.syntax import (
     complexity,
     degree,
     in_signature,
+    instantiate,
+    instantiator,
+    match,
     parse,
     render,
     subformulas,
@@ -187,3 +190,21 @@ def test_translate_preserves_value_and_lands_in_signature():
 def test_translate_fixes_formulas_already_in_signature():
     assert translate(parse("[](p & ~q) | bot"), Signature.FULL) == parse("[](p & ~q) | bot")
     assert translate(parse("~(p > q) > bot"), Signature.SUCC) == parse("~(p > q) > bot")
+
+
+def test_instantiator_agrees_with_match_and_instantiate():
+    rng = random.Random(5151)
+    pairs = [("a > b", "~a"), ("~(a > b)", "a > b"), ("~[]a", "[]a"), ("~~a", "a"),
+             ("a | ~[]a", "~[]a"), ("a & b", "~(b | a)"), ("a", "a"), ("[]a", "bot > top")]
+    for pattern, template in pairs:
+        pattern, template = parse(pattern), parse(template)
+        build = instantiator(pattern, template)
+        for _ in range(25):
+            bound = {name: random_formula(rng, depth=2) for name in ("a", "b")}
+            f = instantiate(pattern, bound)
+            binding = {}
+            assert match(pattern, f, binding)
+            assert build(f) == instantiate(template, binding), (pattern, template, f)
+    # a template that is a subpattern is read off the instance, not rebuilt
+    f = parse("~[](p & q)")
+    assert instantiator(parse("~[]a"), parse("[]a"))(f) is f.body

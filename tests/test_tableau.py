@@ -18,6 +18,9 @@ from tml.syntax import (
     Succ,
     Top,
     Var,
+    complexity,
+    degree,
+    in_signature,
     parse,
     render,
     translate,
@@ -165,19 +168,55 @@ def full_rule_premises():
     return out
 
 
-@pytest.mark.parametrize("sf", succ_rule_premises(), ids=str)
+def table_premises(system):
+    """The principal formula of each row of the system's rule table, signed
+    and with its metavariables a, b read as variables."""
+    return [SignedFormula(sign, parse(text)) for sign, text in tableau._RULES[system]]
+
+
+def test_rule_table_rows():
+    # the hand-written lists above pin which rows the table has
+    assert sorted(map(str, table_premises(Signature.SUCC))) == sorted(
+        map(str, succ_rule_premises()))
+    assert sorted(map(str, table_premises(Signature.FULL))) == sorted(
+        map(str, full_rule_premises()))
+    assert set(tableau._DERIVED_RULES) == {("T", "T"), ("F", "F"), ("T", "F"), ("F", "T")}
+
+
+@pytest.mark.parametrize("sf", table_premises(Signature.SUCC), ids=str)
 def test_succ_rules_sound_and_invertible(sf):
     ok, h = alternatives_equivalent([sf], expand(sf, Signature.SUCC))
     assert ok, f"rule for {sf} wrong at {h}"
 
 
-@pytest.mark.parametrize("sf", full_rule_premises(), ids=str)
+@pytest.mark.parametrize("sf", table_premises(Signature.FULL), ids=str)
 def test_full_rules_sound_and_invertible(sf):
     ok, h = alternatives_equivalent([sf], expand(sf, Signature.FULL))
     assert ok, f"rule for {sf} wrong at {h}"
 
 
-@pytest.mark.parametrize("signs", [("T", "T"), ("F", "F"), ("T", "F"), ("F", "T")])
+@pytest.mark.parametrize("system, measure",
+                         [(Signature.SUCC, degree), (Signature.FULL, complexity)])
+def test_rules_terminate(system, measure):
+    """Every formula a row adds lies in the system's signature and is
+    strictly smaller than the principal formula, so expansion terminates."""
+    for sf in table_premises(system):
+        for alt in expand(sf, system):
+            for added in alt:
+                assert in_signature(added.formula, system), (str(sf), str(added))
+                assert measure(added.formula) < measure(sf.formula), (str(sf), str(added))
+
+
+def test_derived_rules_terminate():
+    s = Succ(A, B)
+    for plain, neg in tableau._DERIVED_RULES:
+        for alt in expand_derived(SignedFormula(plain, s), SignedFormula(neg, Neg(s))):
+            for added in alt:
+                assert in_signature(added.formula, Signature.SUCC), str(added)
+                assert degree(added.formula) < degree(s), str(added)
+
+
+@pytest.mark.parametrize("signs", list(tableau._DERIVED_RULES))
 def test_derived_rules_sound_and_invertible(signs):
     s = Succ(A, B)
     plain = SignedFormula(signs[0], s)
