@@ -827,9 +827,9 @@ of its minor side), which still fits."""
 
 
 def from_json(obj):
-    """Build a proof from its JSON object.  Raises ValueError, KeyError or
-    TypeError on malformed input, and ValueError on a proof nested deeper
-    than MAX_PROOF_DEPTH rules."""
+    """Build a proof from its JSON object.  Raises ParseError on a bad
+    formula and ValueError on any other malformed input, also on a proof
+    nested deeper than MAX_PROOF_DEPTH rules."""
     level, depth = [obj], 0
     while level:
         if depth > MAX_PROOF_DEPTH:
@@ -872,7 +872,9 @@ def _from_json(obj):
 
 
 def _text(obj, key):
-    """obj[key] if it is a string; a missing key raises KeyError."""
+    """obj[key] if it is a string; ValueError naming key if not."""
+    if key not in obj:
+        raise ValueError(f"{key} is missing")
     if not isinstance(obj[key], str):
         raise ValueError(f"{key} must be a string")
     return obj[key]

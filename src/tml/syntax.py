@@ -21,7 +21,8 @@ import enum
 import functools
 import operator
 import re
-from dataclasses import dataclass
+
+from .hashcons import TABLE, Interned, absent, enter
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _KEYWORDS = ("bot", "top")
@@ -31,10 +32,11 @@ MAX_DEPTH = 100
 parentheses sits one level above its deepest operand, so a formula text of
 depth d yields a tree of depth at most d.  The bound keeps recursion within
 Python's default limit of 1000 frames.  Per level of the tree, _fold (the
-printer, measures and translations) takes one frame, semantics.evaluate two
-(its dispatch and the table entry), and hashing a formula two.  Translating
-to the succ signature nests each '&' four levels deep, so a translation can
-be 400 levels deep and take 800 frames to hash."""
+printer, measures and translations) takes one frame and semantics.evaluate
+two (its dispatch and the table entry); hashing and == take none, since
+formulas are interned.  A translation is deeper than its source: to the succ
+signature each '&' nests its operands four levels down, to the full one each
+'>' six, so folding a translation takes at most 600 frames."""
 
 
 class ParseError(Exception):
@@ -50,67 +52,109 @@ class SignatureError(ValueError):
     """A formula strayed outside the signature an operation is defined on."""
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Interned):
+    """A formula node.  Formulas are interned (see hashcons), so equal
+    formulas are one object and == is identity."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    pass
+class _Constant(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _CONSTANTS[cls]
 
 
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
+class Bot(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Top(_Constant):
+    __slots__ = ()
+
+
+_CONSTANTS = {kind: object.__new__(kind) for kind in (Bot, Top)}
+BOT = _CONSTANTS[Bot]
+TOP = _CONSTANTS[Top]
+
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if _IDENT_RE.fullmatch(self.name) is None or self.name in _KEYWORDS:
-            raise ValueError(f"bad variable name {self.name!r}")
-
-
-@dataclass(frozen=True)
-class Neg(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Box(Formula):
-    body: Formula
+    def __new__(cls, name):
+        key = (cls, name)
+        node = TABLE.get(key, absent)()
+        if node is None:
+            if _IDENT_RE.fullmatch(name) is None or name in _KEYWORDS:
+                raise ValueError(f"bad variable name {name!r}")
+            node = object.__new__(cls)
+            _SET_NAME(node, name)
+            node = enter(key, node)
+        return node
 
 
-@dataclass(frozen=True)
-class Dia(Formula):
-    body: Formula
+class _Unary(Formula):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body):
+        key = (cls, id(body))
+        node = TABLE.get(key, absent)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_BODY(node, body)
+            node = enter(key, node)
+        return node
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        node = TABLE.get(key, absent)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_LEFT(node, left)
+            _SET_RIGHT(node, right)
+            node = enter(key, node)
+        return node
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+# Slot setters, bypassing the __setattr__ that makes fields read-only.
+_SET_NAME = Var.name.__set__
+_SET_BODY = _Unary.body.__set__
+_SET_LEFT = _Binary.left.__set__
+_SET_RIGHT = _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Succ(Formula):
+class Neg(_Unary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class Dia(_Unary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Succ(_Binary):
     """The strong implication, written > in concrete syntax."""
 
-    left: Formula
-    right: Formula
-
-
-BOT = Bot()
-TOP = Top()
+    __slots__ = ()
 
 
 class Signature(enum.Enum):
@@ -135,10 +179,15 @@ def in_signature(f, sig):
 
 
 def subformulas(f):
-    """Yield f and every subformula, preorder."""
+    """Yield f and each distinct subformula once, in preorder: a subformula
+    met again, and so everything under it, is skipped."""
+    seen = set()
     stack = [f]
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         yield g
         kind = type(g)
         if kind in _UNARY:
@@ -149,24 +198,49 @@ def subformulas(f):
 
 
 def variables(f):
-    return frozenset(g.name for g in subformulas(f) if type(g) is Var)
+    # subformulas() spelled out: the oracle calls this once per search, and
+    # the generator would cost it a third more.
+    names, seen, stack = set(), set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        kind = type(g)
+        if kind is Var:
+            names.add(g.name)
+        elif kind in _UNARY:
+            stack.append(g.body)
+        elif kind in _BINARY:
+            stack.append(g.right)
+            stack.append(g.left)
+    return frozenset(names)
 
 
-def _fold(f, table, name=None):
+def _fold(f, table, name=None, memo=None):
     """Fold f bottom-up: table maps a node type to a function of the node (an
-    atom) or of its folded operands (a connective).  A formula type missing
-    from table raises SignatureError naming `name`; a non-formula, TypeError."""
+    atom) or of its folded operands (a connective).  Each distinct node is
+    folded once per call: memo, which the recursive calls share, holds the
+    results.  A formula type missing from table raises SignatureError naming
+    `name`; a non-formula, TypeError."""
     kind = type(f)
     step = table.get(kind)
     if step is None:
         if kind in _ATOMS or kind in _UNARY or kind in _BINARY:
             raise SignatureError(f"{name} is not defined on {render(f)!r}")
         raise TypeError(f"not a formula: {f!r}")
-    if kind in _BINARY:
-        return step(_fold(f.left, table, name), _fold(f.right, table, name))
-    if kind in _UNARY:
-        return step(_fold(f.body, table, name))
-    return step(f)
+    if memo is None:
+        memo = {}
+    folded = memo.get(f, memo)
+    if folded is memo:
+        if kind in _BINARY:
+            folded = step(_fold(f.left, table, name, memo), _fold(f.right, table, name, memo))
+        elif kind in _UNARY:
+            folded = step(_fold(f.body, table, name, memo))
+        else:
+            folded = step(f)
+        memo[f] = folded
+    return folded
 
 
 # A pattern is a formula whose variables are metavariables: each stands for

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
+from .hashcons import TABLE, Interned, absent, enter
 from .semantics import evaluate
 from .syntax import (
     BOT,
@@ -39,17 +40,32 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class SignedFormula:
-    sign: str  # "T" or "F"
-    formula: object
+class SignedFormula(Interned):
+    """T(f) or F(f), interned like formulas: equal signed formulas are one
+    object."""
 
-    def __post_init__(self):
-        if self.sign not in ("T", "F"):
-            raise ValueError(f"sign must be 'T' or 'F', not {self.sign!r}")
+    __slots__ = ("sign", "formula")
+    __match_args__ = ("sign", "formula")
+
+    def __new__(cls, sign, formula):
+        # Keys of formulas start with a type, so a sign cannot collide.
+        key = (sign, id(formula))
+        node = TABLE.get(key, absent)()
+        if node is None:
+            if sign not in ("T", "F"):
+                raise ValueError(f"sign must be 'T' or 'F', not {sign!r}")
+            node = object.__new__(cls)
+            _SET_SIGN(node, sign)
+            _SET_FORMULA(node, formula)
+            node = enter(key, node)
+        return node
 
     def __str__(self):
         return f"{self.sign}({render(self.formula)})"
+
+
+_SET_SIGN = SignedFormula.sign.__set__
+_SET_FORMULA = SignedFormula.formula.__set__
 
 
 def T(f):
@@ -179,7 +195,7 @@ def expand_derived(sf1, sf2):
     paired with a signed negation of the same implication.  Raises ValueError
     if the arguments do not form such a pair."""
     plain, neg = (sf2, sf1) if type(sf1.formula) is Neg else (sf1, sf2)
-    if type(plain.formula) is not Succ or neg.formula != Neg(plain.formula):
+    if type(plain.formula) is not Succ or neg.formula is not Neg(plain.formula):
         raise ValueError(f"not a derived-rule pair: {sf1}, {sf2}")
     return _DERIVED[plain.sign, neg.sign](plain.formula)
 
@@ -187,13 +203,24 @@ def expand_derived(sf1, sf2):
 @dataclass
 class Node:
     """One rule application (or the root).  `added` lists the signed formulas
-    the application put on the branch at this point."""
+    the application put on the branch at this point.  A closed node keeps the
+    signed formula that closed it in `closed_by`, with the complement it
+    conflicts with, if any; close_reason renders them."""
 
     added: list
     rule: Optional[str] = None
     children: list = field(default_factory=list)
     closed: bool = False
-    close_reason: Optional[str] = None
+    closed_by: Optional[tuple] = None
+
+    @property
+    def close_reason(self):
+        if self.closed_by is None:
+            return None
+        sf, complement = self.closed_by
+        if complement is None:
+            return f"{sf} is unsatisfiable"
+        return f"{sf} conflicts with {complement}"
 
 
 class Branch:
@@ -230,16 +257,16 @@ class Branch:
         self.node.added.append(sf)
         complement = SignedFormula("F" if sf.sign == "T" else "T", sf.formula)
         if sf in _CLOSING:
-            self._close(f"{sf} is unsatisfiable")
+            self._close(sf, None)
         elif complement in self.present:
-            self._close(f"{sf} conflicts with {complement}")
+            self._close(sf, complement)
         elif _shape(sf.formula) not in _LITERALS:
             self.pending.append(sf)
 
-    def _close(self, reason):
+    def _close(self, sf, complement):
         self.closed = True
         self.node.closed = True
-        self.node.close_reason = reason
+        self.node.closed_by = sf, complement
 
 
 @dataclass

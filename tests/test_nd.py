@@ -642,7 +642,7 @@ def test_from_json_rejects_garbage():
         nd.from_json({"rule": "BoxI", "conclusion": "[]p",
                       "premises": [{"rule": "MA", "formula": "p | ~[]p"}] * 2,
                       "discharges": [{"marker": ["u"], "formula": "~p"}]})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^conclusion is missing$"):
         nd.from_json({"rule": "AndI", "premises": []})
     # a wrong field is named, not reported in Python's own words
     with pytest.raises(ValueError, match="^formula must be a string$"):

@@ -1,13 +1,20 @@
+import copy
+import gc
+import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 
 from helpers import random_formula
+from tml import hashcons, syntax
 from tml.semantics import evaluate, valuations
 from tml.syntax import (
     BOT,
     TOP,
     And,
+    Bot,
     Box,
     Dia,
     Neg,
@@ -16,6 +23,7 @@ from tml.syntax import (
     Signature,
     SignatureError,
     Succ,
+    Top,
     Var,
     complexity,
     degree,
@@ -98,6 +106,8 @@ def test_var_name_validation():
         Var("Q")
     with pytest.raises(ValueError):
         Var("")
+    with pytest.raises(ValueError):
+        Var("1x")
 
 
 def test_render_minimal_parens():
@@ -208,3 +218,119 @@ def test_instantiator_agrees_with_match_and_instantiate():
     # a template that is a subpattern is read off the instance, not rebuilt
     f = parse("~[](p & q)")
     assert instantiator(parse("~[]a"), parse("[]a"))(f) is f.body
+
+
+# --- interning -------------------------------------------------------------
+
+
+def test_equal_formulas_are_one_object():
+    assert Var("p") is Var("p")
+    assert Neg(p) is Neg(Var("p"))
+    assert Succ(p, q) is not Succ(q, p)
+    assert Bot() is BOT and Top() is TOP
+    rng = random.Random(707)
+    for _ in range(200):
+        f = random_formula(rng, depth=5)
+        assert parse(render(f)) is f
+
+
+def test_translate_and_instantiate_return_the_interned_node():
+    rng = random.Random(708)
+    for _ in range(100):
+        f = random_formula(rng, depth=4)
+        for sig in (Signature.FULL, Signature.SUCC):
+            assert translate(f, sig) is translate(parse(render(f)), sig)
+    assert translate(parse("[]p"), Signature.SUCC) is parse("~(p > ~p)")
+    pattern = parse("~(a > b)")
+    assert instantiate(pattern, {"a": p, "b": Neg(q)}) is parse("~(p > ~q)")
+    assert instantiator(pattern, parse("b > a"))(parse("~(p > ~q)")) is parse("~q > p")
+
+
+def test_copies_and_pickles_return_the_interned_node():
+    f = parse("[](p & ~q) > <>r | bot & top")
+    for g in (f, p, BOT):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert copy.deepcopy([g])[0] is g
+        assert pickle.loads(pickle.dumps(g)) is g
+    assert repr(Neg(p)) == "Neg(body=Var(name='p'))"
+    assert repr(BOT) == "Bot()"
+
+
+def test_formulas_are_immutable():
+    f = parse("p & q")
+    with pytest.raises(AttributeError):
+        f.left = q
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(AttributeError):
+        del f.right
+
+
+def test_the_table_lets_go_of_unused_nodes():
+    gc.collect()
+    before = len(hashcons.TABLE)
+    f = parse(" & ".join(f"fresh{i} > ~fresh{i}" for i in range(50)))
+    nodes = [weakref.ref(g) for g in subformulas(f)]
+    assert len(hashcons.TABLE) == before + len(nodes)
+    del f
+    gc.collect()
+    assert all(ref() is None for ref in nodes)
+    assert len(hashcons.TABLE) == before
+    assert not any(key[0] is Var and key[1].startswith("fresh") for key in hashcons.TABLE)
+
+
+def test_deep_formulas_hash_and_compare_without_recursion():
+    # Built through the constructors, far deeper than parse() accepts.
+    def chain():
+        f = p
+        for _ in range(1000):
+            f = And(f, q)
+        return f
+
+    f, g = chain(), chain()
+    assert f == g and f is g
+    assert g in {f}
+    assert hash(f) == hash(g)
+
+
+def _counted(table, limit):
+    """table with each step counting its calls, failing past limit calls,
+    and the list the calls are counted in."""
+    calls = []
+
+    def count(step):
+        def counted(*args):
+            calls.append(step)
+            if len(calls) > limit:
+                raise AssertionError(f"more than {limit} steps")
+            return step(*args)
+        return counted
+    return {kind: count(step) for kind, step in table.items()}, calls
+
+
+@pytest.mark.parametrize("text,target,nodes", [
+    ("[]" * 40 + "p", Signature.SUCC, 121),  # []a becomes ~(a > ~a): 3 nodes a box
+    (" > ".join(["p"] * 7), Signature.FULL, 75),
+])
+def test_each_distinct_node_is_walked_once(monkeypatch, text, target, nodes):
+    # Translations share subterms: as trees, these have about 2**42 and
+    # 34,126 nodes.  Only counts are asserted, since a failing assert would
+    # print the formulas.
+    f = parse(text)
+    sources = len(list(subformulas(f)))
+    table, calls = _counted(syntax._TRANSLATIONS[target], sources)
+    monkeypatch.setitem(syntax._TRANSLATIONS, target, table)
+    g = translate(f, target)
+    folded = len(calls)
+    assert folded == sources
+    walked = list(itertools.islice(subformulas(g), nodes + 1))
+    yielded, distinct = len(walked), len(set(walked))
+    assert yielded == distinct == nodes
+    ok = in_signature(g, target) and variables(g) == {"p"}
+    assert ok
+    every_kind = syntax._ATOMS | syntax._UNARY | syntax._BINARY
+    table, calls = _counted(dict.fromkeys(every_kind, lambda *a: 0), nodes)
+    syntax._fold(g, table)
+    folded = len(calls)
+    assert folded == nodes

@@ -1,9 +1,13 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
 from helpers import random_formula
-from tml import tableau
+from tml import hashcons, tableau
 from tml.errors import InvariantViolation
 from tml.semantics import consequence, evaluate, valid, valuations
 from tml.syntax import (
@@ -80,6 +84,35 @@ def test_signed_formula_str():
 def test_sign_validation():
     with pytest.raises(ValueError):
         SignedFormula("X", P)
+
+
+def test_signed_formulas_are_interned():
+    f = parse("~(p > q)")
+    assert T(f) is T(parse("~(p > q)")) is SignedFormula("T", f)
+    assert T(f) is not F(f)
+    for sf in (T(f), F(P)):
+        assert copy.copy(sf) is sf
+        assert copy.deepcopy(sf) is sf
+        assert pickle.loads(pickle.dumps(sf)) is sf
+    assert repr(T(P)) == "SignedFormula(sign='T', formula=Var(name='p'))"
+    with pytest.raises(AttributeError):
+        T(P).sign = "F"
+    # The compiled rule rows build interned nodes; == on them is identity.
+    first = expand(T(f), Signature.SUCC)[0]
+    assert first[0] is T(P) and first[1] is F(Q)
+    assert expand(T(f), Signature.SUCC) == expand(T(f), Signature.SUCC)
+
+
+def test_signed_formulas_leave_the_table():
+    gc.collect()
+    before = len(hashcons.TABLE)
+    signed = [T(Var(f"fresh{i}")) for i in range(20)]
+    refs = [weakref.ref(sf) for sf in signed]
+    assert len(hashcons.TABLE) == before + 2 * len(signed)
+    del signed
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(hashcons.TABLE) == before
 
 
 def test_satisfies_pins():
@@ -537,6 +570,19 @@ def test_format_tableau_smoke():
     assert "F(p > p)" in text
     assert "[F(>)]" in text
     assert "* closed:" in text
+
+
+def test_close_reasons_name_the_closing_formulas():
+    node = Node(added=[])
+    branch = Branch(node)
+    assert node.close_reason is None
+    branch.add(T(P))
+    branch.add(F(P))
+    assert node.closed_by == (F(P), T(P))
+    assert node.close_reason == "F(p) conflicts with T(p)"
+    node = Node(added=[])
+    Branch(node).add(T(Bot()))
+    assert node.close_reason == "T(bot) is unsatisfiable"
 
 
 def test_format_tableau_shows_open_branch_literals():
