@@ -39,6 +39,11 @@ def absent():
     return None
 
 
+def lookup(key):
+    """The live node interned under key, or None; builds nothing."""
+    return TABLE.get(key, absent)()
+
+
 def enter(key, node):
     """The live node interned under key if there is one, else node, which
     is entered now."""

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
-from .hashcons import TABLE, Interned, absent, enter
+from .hashcons import TABLE, Interned, absent, enter, lookup
 from .semantics import evaluate
 from .syntax import (
     BOT,
@@ -48,8 +48,7 @@ class SignedFormula(Interned):
     __match_args__ = ("sign", "formula")
 
     def __new__(cls, sign, formula):
-        # Keys of formulas start with a type, so a sign cannot collide.
-        key = (sign, id(formula))
+        key = _key(sign, formula)
         node = TABLE.get(key, absent)()
         if node is None:
             if sign not in ("T", "F"):
@@ -66,6 +65,12 @@ class SignedFormula(Interned):
 
 _SET_SIGN = SignedFormula.sign.__set__
 _SET_FORMULA = SignedFormula.formula.__set__
+
+
+def _key(sign, formula):
+    """The TABLE key of sign(formula).  Keys of formulas start with a type,
+    so a sign cannot collide with them."""
+    return sign, id(formula)
 
 
 def T(f):
@@ -227,7 +232,10 @@ class Branch:
     """A branch under construction: the ordered signed formulas on it, plus
     bookkeeping for which of them still await expansion.  `path` records the
     alternative indices taken at each split, so sorting branches by path
-    recovers the left-to-right leaf order."""
+    recovers the left-to-right leaf order.  `done` holds the formulas a
+    derived rule has used up; only complete(derived=True) touches it."""
+
+    __slots__ = ("node", "path", "formulas", "present", "pending", "done", "closed")
 
     def __init__(self, node, path=()):
         self.node = node
@@ -239,26 +247,30 @@ class Branch:
         self.closed = False
 
     def clone(self, node, path):
-        twin = Branch(node, path)
-        twin.formulas = list(self.formulas)
-        twin.present = set(self.present)
-        twin.pending = deque(self.pending)
-        twin.done = set(self.done)
+        twin = Branch.__new__(Branch)
+        twin.node = node
+        twin.path = path
+        twin.formulas = self.formulas.copy()
+        twin.present = self.present.copy()
+        twin.pending = self.pending.copy()
+        twin.done = self.done.copy()
         twin.closed = self.closed
         return twin
 
     def add(self, sf):
         """Record sf once; closes the branch on a sign conflict or an
-        unsatisfiable signed constant."""
+        unsatisfiable signed constant.  The complement is looked up, not
+        built: if it was never interned, it is not on the branch."""
         if sf in self.present or self.closed:
             return
         self.present.add(sf)
         self.formulas.append(sf)
         self.node.added.append(sf)
-        complement = SignedFormula("F" if sf.sign == "T" else "T", sf.formula)
         if sf in _CLOSING:
             self._close(sf, None)
-        elif complement in self.present:
+            return
+        complement = lookup(_key("F" if sf.sign == "T" else "T", sf.formula))
+        if complement is not None and complement in self.present:
             self._close(sf, complement)
         elif _shape(sf.formula) not in _LITERALS:
             self.pending.append(sf)
@@ -307,6 +319,7 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
         first.add(sf)
     finished = []
     stack = [first]
+    expansions = _Expansions(system)
     while stack:
         branch = stack.pop()
         while not branch.closed and branch.pending:
@@ -317,9 +330,13 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
                 branch.pending.rotate(-index)
                 sf = branch.pending.popleft()
                 branch.pending.rotate(index)
-            if sf in branch.done:
-                continue
-            alternatives, label = _pick_rule(sf, branch, system, derived)
+            if derived:
+                if sf in branch.done:
+                    continue
+                alternatives, label = _pick_rule(sf, branch, system, expansions)
+            else:
+                # add() queues a formula once per branch, so none is done yet.
+                alternatives, label = expansions[sf]
             if len(alternatives) == 1:
                 node = Node(added=[], rule=label)
                 branch.node.children.append(node)
@@ -327,11 +344,19 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
                 for new_sf in alternatives[0]:
                     branch.add(new_sf)
                 continue
+            # k - 1 clones; the branch itself takes the last alternative,
+            # which is worked last.
+            last = len(alternatives) - 1
             children = []
             for k, alt in enumerate(alternatives):
                 node = Node(added=[], rule=label)
                 branch.node.children.append(node)
-                child = branch.clone(node, branch.path + (k,))
+                path = branch.path + (k,)
+                if k < last:
+                    child = branch.clone(node, path)
+                else:
+                    child = branch
+                    child.node, child.path = node, path
                 for new_sf in alt:
                     child.add(new_sf)
                 children.append(child)
@@ -347,17 +372,35 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
     return Tableau(root, finished, system)
 
 
-def _pick_rule(sf, branch, system, derived):
-    label, rule = _rule(sf, system)
-    partner = derived and system is Signature.SUCC and _PARTNER.get(_shape(sf.formula))
+class _Expansions(dict):
+    """One complete() call's memo: a signed formula's (alternatives, label)
+    from the system's table, built on first use.  Every branch that expands
+    the formula reads the same lists, so no branch may change them."""
+
+    def __init__(self, system):
+        super().__init__()
+        self.system = system
+
+    def __missing__(self, sf):
+        label, rule = _rule(sf, self.system)
+        expansion = self[sf] = rule(sf.formula), label
+        return expansion
+
+
+def _pick_rule(sf, branch, system, expansions):
+    """With derived rules: pair sf with a partner on the branch if one is
+    there and unused, else use sf's own row.  Marks what it uses as done."""
+    partner = system is Signature.SUCC and _PARTNER.get(_shape(sf.formula))
     if partner:
         g = partner(sf.formula)
-        for cand in (T(g), F(g)):
+        for sign in ("T", "F"):
+            cand = lookup(_key(sign, g))
             if cand in branch.present and cand not in branch.done:
                 branch.done.update((sf, cand))
-                return expand_derived(sf, cand), f"{label}+{_rule(cand, system)[0]}"
+                label = f"{_rule(sf, system)[0]}+{_rule(cand, system)[0]}"
+                return expand_derived(sf, cand), label
     branch.done.add(sf)
-    return rule(sf.formula), label
+    return expansions[sf]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import pickle
 import random
 import weakref
@@ -599,3 +600,103 @@ def test_rule_labels():
     result = decide(parse("~[]p"), Signature.FULL)
     text = format_tableau(result.tableau)
     assert "[F(~[])]" in text
+
+
+# --- tree text and branch bookkeeping ----------------------------------------
+
+
+def _decide_pool():
+    """About 2,000 seeded decide calls: formulas native to each system and
+    mixed ones decided across signatures, with derived rules off and on and
+    some random expansion orders."""
+    rng = random.Random(8)
+    for i in range(1000):
+        native = Signature.FULL if i % 2 else Signature.SUCC
+        ops = "full" if native is Signature.FULL else "succ"
+        f = random_formula(rng, names=("p", "q", "r"), depth=5, ops=ops)
+        derived = native is Signature.SUCC and i % 4 == 0
+        yield f, native, derived, random.Random(i) if i % 3 == 0 else None
+        g = random_formula(rng, names=("p", "q"), depth=3, ops="mixed")
+        other = Signature.SUCC if native is Signature.FULL else Signature.FULL
+        yield g, other, other is Signature.SUCC and i % 4 == 1, (
+            random.Random(-i) if i % 5 == 0 else None)
+
+
+def test_tableau_text_is_pinned():
+    """The sha256 of format_tableau and the countermodel over the pool.  The
+    digest pins every tree (rule labels, close reasons, branch order) and
+    every reported model, so an engine change that is meant to keep the
+    trees must leave it as it is."""
+    digest = hashlib.sha256()
+    calls = 0
+    for f, system, derived, order in _decide_pool():
+        result = decide(f, system, derived=derived, rng=order)
+        digest.update(format_tableau(result.tableau).encode())
+        if isinstance(result, Refuted):
+            digest.update(repr(sorted(result.model.items())).encode())
+        else:
+            digest.update(b"proved")
+        calls += 1
+    assert calls == 2000
+    assert digest.hexdigest() == (
+        "356dff45c00489c941f8b7406119ab9794a33bd3430a8d372300f63c9b295468")
+
+
+def _leaf_walk(root, branch):
+    """The nodes from the root to the branch's leaf: the only child, or the
+    branch's path index at a split."""
+    nodes = [root]
+    splits = iter(branch.path)
+    while nodes[-1].children:
+        children = nodes[-1].children
+        nodes.append(children[0] if len(children) == 1 else children[next(splits)])
+    assert next(splits, None) is None
+    return nodes
+
+
+@pytest.mark.parametrize("system", list(Signature), ids=lambda s: s.value)
+@pytest.mark.parametrize("derived", [False, True], ids=["plain", "derived"])
+@pytest.mark.parametrize("ordered", [False, True], ids=["fifo", "rng"])
+def test_finished_branches_match_the_tree(system, derived, ordered):
+    rng = random.Random(f"{system.value}-{derived}-{ordered}")
+    ops = "succ" if system is Signature.SUCC else "full"
+    for i in range(60):
+        f = random_formula(rng, names=("p", "q", "r"), depth=4, ops=ops)
+        order = random.Random(i) if ordered else None
+        tab = complete([F(translate(f, system))], system, derived=derived, rng=order)
+        seen = {"formulas": set(), "present": set(), "pending": set()}
+        for branch in tab.branches:
+            nodes = _leaf_walk(tab.root, branch)
+            assert branch.node is nodes[-1]
+            assert branch.formulas == [sf for node in nodes for sf in node.added]
+            assert branch.present == set(branch.formulas)
+            assert branch.closed == nodes[-1].closed
+            for name, ids in seen.items():
+                container = getattr(branch, name)
+                assert id(container) not in ids, (render(f), name)
+                ids.add(id(container))
+
+
+def test_adding_a_formula_interns_no_complement(monkeypatch):
+    # A complement built only to be tested would leave the table as soon as
+    # it died, so record every key that enters it.
+    entered = []
+
+    def enter(key, node):
+        entered.append(key)
+        return hashcons.enter(key, node)
+
+    f = Succ(Var("complement_probe_a"), Var("complement_probe_b"))
+    atom = Var("complement_probe_c")
+    signed = T(f), F(atom)
+    monkeypatch.setattr(tableau, "enter", enter)
+    branch = Branch(Node(added=[]))
+    for sf in signed:
+        branch.add(sf)
+    assert list(branch.pending) == [T(f)]
+    assert entered == []
+    assert ("F", id(f)) not in hashcons.TABLE
+    assert ("T", id(atom)) not in hashcons.TABLE
+    # an existing complement is still found
+    branch.add(T(atom))
+    assert branch.closed and branch.node.closed_by == (T(atom), F(atom))
