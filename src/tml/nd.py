@@ -14,6 +14,7 @@ classes (vacuous discharge) are fine.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -369,19 +370,6 @@ class CutReport:
     critical: tuple
 
 
-def _index_nodes(proof):
-    nodes = {}
-
-    def go(t, path):
-        nodes[path] = t
-        if isinstance(t, Rule):
-            for i, p in enumerate(t.premises):
-                go(p, path + (i,))
-
-    go(proof, ())
-    return nodes
-
-
 def _subtrees(tree):
     """Yield every node of the tree, in no particular order."""
     stack = [tree]
@@ -392,47 +380,52 @@ def _subtrees(tree):
             stack.extend(t.premises)
 
 
-def _is_del(t):
-    return isinstance(t, Rule) and t.tag in DEL_TAGS
-
-
-def analyze(proof):
+def analyze(proof, ranks=None):
     """Find all segments and classify the cuts.  A segment starts at any
     occurrence that is not a del-rule conclusion and extends downward while
     it is a minor premise of a del-rule.  It is a cut when it finally lands
     as the major premise of an E-rule and is either longer than one or starts
-    at an I-rule conclusion."""
-    nodes = _index_nodes(proof)
+    at an I-rule conclusion.  Segments come in preorder of their start.
+
+    ranks, if given, is a dict from cut formula to its complexity that the
+    call reads and extends, so that normalize computes each rank once."""
+    if ranks is None:
+        ranks = {}
     segments = []
-    for path, t in nodes.items():
-        if _is_del(t):
-            continue
-        positions = [path]
-        current = path
-        while current:
-            parent = nodes[current[:-1]]
-            if _is_del(parent) and current[-1] in (1, 2):
-                current = current[:-1]
-                positions.append(current)
-            else:
-                break
-        segments.append(Segment(conclusion_of(t), tuple(positions)))
     cuts = []
-    for seg in segments:
-        end = seg.positions[-1]
-        if not end:
-            continue
-        parent = nodes[end[:-1]]
-        if not (isinstance(parent, Rule) and parent.tag in CUT_E_TAGS and end[-1] == 0):
-            continue
-        start = nodes[seg.positions[0]]
-        started_by_i = isinstance(start, Rule) and start.tag in I_TAGS
-        if seg.length > 1 or started_by_i:
+    cut_ranks = []
+    # One preorder walk.  Each entry holds a node, its path, the positions
+    # of the del-rule conclusions its segment runs down through (nearest
+    # first), and the rule and premise index where the segment's last
+    # occurrence stands (None at the root).
+    stack = [(proof, (), (), None, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t, path, below, consumer, index = pop()
+        if isinstance(t, Rule):
+            is_del = t.tag in DEL_TAGS
+            for i in reversed(range(len(t.premises))):
+                if is_del and i in (1, 2):
+                    # A minor premise's segment runs on through this node.
+                    push((t.premises[i], path + (i,), (path,) + below, consumer, index))
+                else:
+                    push((t.premises[i], path + (i,), (), t, i))
+            if is_del:
+                continue
+            formula, started_by_i = t.conclusion, t.tag in I_TAGS
+        else:
+            formula, started_by_i = t.formula, False
+        seg = Segment(formula, (path,) + below)
+        segments.append(seg)
+        if (index == 0 and consumer is not None and consumer.tag in CUT_E_TAGS
+                and (below or started_by_i)):
+            rank = ranks.get(formula)
+            if rank is None:
+                rank = ranks[formula] = complexity(formula)
             cuts.append(seg)
-    cutrank = max((complexity(s.formula) for s in cuts), default=0)
-    critical = tuple(s for s in cuts if complexity(s.formula) == cutrank)
-    if not cuts:
-        critical = ()
+            cut_ranks.append(rank)
+    cutrank = max(cut_ranks, default=0)
+    critical = tuple(s for s, rank in zip(cuts, cut_ranks) if rank == cutrank)
     return CutReport(tuple(segments), tuple(cuts), cutrank, critical)
 
 
@@ -460,11 +453,18 @@ def _bound_markers(trees):
 
 
 class _MarkerSupply:
-    def __init__(self, used):
-        self.used = set(used)
+    """Marker names m1, m2, ... that the proof does not use.  The proof's
+    markers are collected on the first request: most conversions need no
+    fresh marker."""
+
+    def __init__(self, proof):
+        self.proof = proof
+        self.used = None
         self.counter = itertools.count(1)
 
     def fresh(self):
+        if self.used is None:
+            self.used = all_markers(self.proof)
         while True:
             name = f"m{next(self.counter)}"
             if name not in self.used:
@@ -572,8 +572,9 @@ def _bot_elim(bot_deriv, target, supply):
 def atomize_bot(proof):
     """Push every BotE with a compound conclusion through the conclusion's
     structure until all BotE conclusions are literals (p, ~p, or ~bot);
-    BotE concluding bot collapses to its own premise."""
-    supply = _MarkerSupply(all_markers(proof))
+    BotE concluding bot collapses to its own premise.  Subtrees without such
+    a BotE come back as the very same objects."""
+    supply = _MarkerSupply(proof)
 
     def go(t):
         if not isinstance(t, Rule):
@@ -581,6 +582,8 @@ def atomize_bot(proof):
         premises = tuple(go(p) for p in t.premises)
         if t.tag == "BotE" and not _is_nd_literal(t.conclusion):
             return _bot_elim(premises[0], t.conclusion, supply)
+        if all(map(operator.is_, premises, t.premises)):
+            return t
         return Rule(t.tag, t.conclusion, premises, t.discharges)
 
     return go(proof)
@@ -692,9 +695,7 @@ def _convert(proof, seg, supply):
 def convert_at(proof, cut):
     """Apply one conversion step at the given cut (a Segment from analyze,
     or the start position of one).  Raises ValueError if it is not a cut."""
-    seg = _resolve_cut(proof, cut)
-    supply = _MarkerSupply(all_markers(proof))
-    return _convert(proof, seg, supply)[0]
+    return _convert(proof, _resolve_cut(proof, cut), _MarkerSupply(proof))[0]
 
 
 def _measure(report):
@@ -708,17 +709,17 @@ def normalize(proof, observer=None):
     shrink (cutrank, total critical length); if not, something is wrong with
     the engine and InvariantViolation is raised."""
     check(proof)
+    ranks = {}
     result = atomize_bot(proof)
-    report = analyze(result)
+    report = analyze(result, ranks)
     measure = _measure(report)
-    if observer is not None and result != proof:
+    if observer is not None and result is not proof:
         observer({"step": 0, "kind": "atomize", "formula": None, "measure": measure})
     step = 1
     while report.critical:
         seg = max(report.critical, key=lambda s: s.positions[0])
-        supply = _MarkerSupply(all_markers(result))
-        result, kind = _convert(result, seg, supply)
-        report = analyze(result)
+        result, kind = _convert(result, seg, _MarkerSupply(result))
+        report = analyze(result, ranks)
         new_measure = _measure(report)
         if not new_measure < measure:
             raise InvariantViolation(

@@ -1,6 +1,8 @@
-"""Seeded random formula generators shared across the test modules."""
+"""Seeded random formula generators shared across the test modules, and a
+reference cut analysis for natural deduction proofs."""
 
-from tml.syntax import BOT, TOP, And, Box, Dia, Neg, Or, Succ, Var
+from tml import nd
+from tml.syntax import BOT, TOP, And, Box, Dia, Neg, Or, Succ, Var, complexity
 
 FULL_OPS = ("neg", "box", "dia", "and", "or")
 SUCC_OPS = ("neg", "succ")
@@ -54,3 +56,44 @@ def fold_and(formulas):
     for f in formulas[1:]:
         acc = And(acc, f)
     return acc
+
+
+def reference_analyze(proof):
+    """nd.analyze as a plain two-pass algorithm: index every node by its
+    path, chain each non-del occurrence down through del-rule minor
+    premises, then classify the chains that end at an elimination's major
+    premise."""
+    nodes = {}
+
+    def index(t, path):
+        nodes[path] = t
+        if isinstance(t, nd.Rule):
+            for i, p in enumerate(t.premises):
+                index(p, path + (i,))
+
+    def is_del(t):
+        return isinstance(t, nd.Rule) and t.tag in nd.DEL_TAGS
+
+    index(proof, ())
+    segments = []
+    for path, t in nodes.items():
+        if is_del(t):
+            continue
+        positions = [path]
+        while positions[-1] and positions[-1][-1] in (1, 2) and is_del(nodes[positions[-1][:-1]]):
+            positions.append(positions[-1][:-1])
+        segments.append(nd.Segment(nd.conclusion_of(t), tuple(positions)))
+    cuts = []
+    for seg in segments:
+        end = seg.positions[-1]
+        if not end:
+            continue
+        consumer = nodes[end[:-1]]
+        if not (isinstance(consumer, nd.Rule) and consumer.tag in nd.CUT_E_TAGS and end[-1] == 0):
+            continue
+        start = nodes[seg.positions[0]]
+        if seg.length > 1 or (isinstance(start, nd.Rule) and start.tag in nd.I_TAGS):
+            cuts.append(seg)
+    cutrank = max((complexity(s.formula) for s in cuts), default=0)
+    critical = tuple(s for s in cuts if complexity(s.formula) == cutrank)
+    return nd.CutReport(tuple(segments), tuple(cuts), cutrank, critical)
