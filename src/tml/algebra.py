@@ -7,7 +7,7 @@ modality collapses everything but 1 to 0.  Truth means taking a designated
 value, i.e. one of {b, 1}.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .syntax import And, Box, Succ, entailment, parse
 
@@ -101,9 +101,11 @@ def _check(v):
         raise ValueError(f"not a truth value: {v!r}")
 
 
-class IdentityResult(NamedTuple):
-    holds: bool
-    witness: dict | None
+class IdentityResult(namedtuple("IdentityResult", ("holds", "witness"))):
+    """Whether an identity holds, and the first valuation where it fails
+    (None when it holds).  Truthy iff it holds."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds

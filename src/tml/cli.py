@@ -9,7 +9,6 @@ given as `@path` to read the formula text from a file.
 """
 
 import argparse
-import json
 import sys
 
 from . import nd
@@ -181,7 +180,8 @@ def _cmd_countermodel(args):
 
 
 def _cmd_consequence(args):
-    # The search joins the premises with &, one nesting level each.
+    # The search joins the premises as a balanced & tree, so their number
+    # sets no nesting depth; it stays bounded like every other input size.
     if len(args.premises) > MAX_DEPTH:
         raise _UsageError(f"more than {MAX_DEPTH} premises")
     premises = [_read_formula_arg(t) for t in args.premises]
@@ -212,6 +212,8 @@ def _cmd_translate(args):
 
 
 def _load_proof(path):
+    import json  # here and below, not at the top: only some commands read or write JSON
+
     try:
         data = sys.stdin.read() if path == "-" else _read_file(path)
     except OSError as e:
@@ -246,6 +248,8 @@ def _cmd_nd_check(args):
 
 
 def _cmd_nd_normalize(args):
+    import json
+
     proof = _load_proof(args.file)
     observer = None
     if args.trace:
@@ -363,7 +367,11 @@ def main(argv=None):
 
         traceback.print_exc()
         return 3
-    print(json.dumps({"schema": 1, **obj}, indent=2) if args.json else text)
+    if args.json:
+        import json
+
+        text = json.dumps({"schema": 1, **obj}, indent=2)
+    print(text)
     return _VERDICT_EXIT[obj.get("verdict")] if obj.get("all_hold", True) else 1
 
 

@@ -1,4 +1,5 @@
-"""Hash-consing for the immutable nodes of formulas and signed formulas.
+"""Hash-consing for the immutable nodes of formulas and signed formulas,
+and Frozen, the immutable record those nodes and the proof records share.
 
 Constructing a node equal to one that is alive returns that node, so equal
 nodes are one object: == is identity and the hash is the identity hash, both
@@ -59,12 +60,12 @@ def enter(key, node):
         _remove_dead_weakref(TABLE, key)
 
 
-class Interned:
-    """An immutable interned node: its fields, named by __match_args__, are
-    set once in __new__ through their slot descriptors.  Copies and pickle
-    round trips return the interned node."""
+class Frozen:
+    """An immutable record: its fields, named in order by __match_args__,
+    are set once at construction through their slot descriptors.  Copies
+    return the record itself, and pickle rebuilds it from its fields."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     __match_args__ = ()
 
     def __setattr__(self, name, value):
@@ -85,3 +86,11 @@ class Interned:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+class Interned(Frozen):
+    """An immutable interned node, set up in __new__: == is identity and the
+    hash is the identity hash.  A copy or a pickle round trip returns the
+    interned node."""
+
+    __slots__ = ("__weakref__",)

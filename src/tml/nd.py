@@ -15,10 +15,9 @@ classes (vacuous discharge) are fine.
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvariantViolation
+from .hashcons import Frozen
 from .syntax import (
     BOT,
     And,
@@ -46,35 +45,71 @@ class DischargeError(ValueError):
     class formulas, or an occurrence outside the discharging scope."""
 
 
-@dataclass(frozen=True)
-class Assume:
-    formula: object
-    marker: Optional[str] = None
+class _Record(Frozen):
+    """A frozen record that is not interned: == holds between two records of
+    one exact type with equal fields, and the hash is that of the field
+    tuple.  Each subclass sets its slots in its own __init__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
 
 
-@dataclass(frozen=True)
-class MA:
+def _fields(record):
+    return tuple(getattr(record, name) for name in record.__match_args__)
+
+
+class Assume(_Record):
+    __slots__ = __match_args__ = ("formula", "marker")
+
+    def __init__(self, formula, marker=None):
+        _SET_ASSUME_FORMULA(self, formula)
+        _SET_ASSUME_MARKER(self, marker)
+
+
+class MA(_Record):
     """Axiom leaf: formula must have the shape f | ~[]f."""
 
-    formula: object
+    __slots__ = __match_args__ = ("formula",)
+
+    def __init__(self, formula):
+        _SET_MA_FORMULA(self, formula)
 
 
-@dataclass(frozen=True)
-class Rule:
-    tag: str
-    conclusion: object
-    premises: tuple
-    discharges: tuple = ()
+class Rule(_Record):
+    __slots__ = __match_args__ = ("tag", "conclusion", "premises", "discharges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
-        object.__setattr__(self, "discharges", tuple(self.discharges))
+    def __init__(self, tag, conclusion, premises, discharges=()):
+        _SET_RULE_TAG(self, tag)
+        _SET_RULE_CONCLUSION(self, conclusion)
+        _SET_RULE_PREMISES(self, tuple(premises))
+        _SET_RULE_DISCHARGES(self, tuple(discharges))
 
 
-@dataclass(frozen=True)
-class Judgement:
-    open_assumptions: frozenset
-    conclusion: object
+class Judgement(_Record):
+    __slots__ = __match_args__ = ("open_assumptions", "conclusion")
+
+    def __init__(self, open_assumptions, conclusion):
+        _SET_JUDGEMENT_OPEN(self, open_assumptions)
+        _SET_JUDGEMENT_CONCLUSION(self, conclusion)
+
+
+# Slot setters, bypassing the __setattr__ that makes record fields read-only.
+_SET_ASSUME_FORMULA = Assume.formula.__set__
+_SET_ASSUME_MARKER = Assume.marker.__set__
+_SET_MA_FORMULA = MA.formula.__set__
+_SET_RULE_TAG = Rule.tag.__set__
+_SET_RULE_CONCLUSION = Rule.conclusion.__set__
+_SET_RULE_PREMISES = Rule.premises.__set__
+_SET_RULE_DISCHARGES = Rule.discharges.__set__
+_SET_JUDGEMENT_OPEN = Judgement.open_assumptions.__set__
+_SET_JUDGEMENT_CONCLUSION = Judgement.conclusion.__set__
 
 
 I_TAGS = frozenset(
@@ -348,26 +383,38 @@ def bot_e(d, f):
 # --- segments, cuts, normality ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """One formula occurrence chained through del-rule minor premises.
     positions run from the start occurrence (deepest path) down to the last
     (shallowest); length is the number of occurrences."""
 
-    formula: object
-    positions: tuple
+    __slots__ = __match_args__ = ("formula", "positions")
+
+    def __init__(self, formula, positions):
+        _SET_SEGMENT_FORMULA(self, formula)
+        _SET_SEGMENT_POSITIONS(self, positions)
 
     @property
     def length(self):
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class CutReport:
-    segments: tuple
-    cuts: tuple
-    cutrank: int
-    critical: tuple
+class CutReport(_Record):
+    __slots__ = __match_args__ = ("segments", "cuts", "cutrank", "critical")
+
+    def __init__(self, segments, cuts, cutrank, critical):
+        _SET_REPORT_SEGMENTS(self, segments)
+        _SET_REPORT_CUTS(self, cuts)
+        _SET_REPORT_CUTRANK(self, cutrank)
+        _SET_REPORT_CRITICAL(self, critical)
+
+
+_SET_SEGMENT_FORMULA = Segment.formula.__set__
+_SET_SEGMENT_POSITIONS = Segment.positions.__set__
+_SET_REPORT_SEGMENTS = CutReport.segments.__set__
+_SET_REPORT_CUTS = CutReport.cuts.__set__
+_SET_REPORT_CUTRANK = CutReport.cutrank.__set__
+_SET_REPORT_CRITICAL = CutReport.critical.__set__
 
 
 def _subtrees(tree):

@@ -10,14 +10,15 @@ of n somewhere else.)
 
 Every semantic check reduces to countermodel(), the one valuation search,
 through the strong implication >, which internalizes the order: a <= b iff
-a > b = 1.  Consequence searches syntax.entailment(premises, conclusion), and
-the identity checks in algebra search the same shape built from equations.
+a > b = 1.  Consequence searches the premises' meet > the conclusion, with
+the meet as a balanced & tree, and the identity checks in algebra search
+syntax.entailment(premises, conclusion) built from equations.
 """
 
 import itertools
 
 from .algebra import BOX, DIA, JOIN, MEET, NEG, ONE, SUCC, VALUES, ZERO
-from .syntax import And, Bot, Box, Dia, Neg, Or, Succ, Top, Var, entailment, variables
+from .syntax import And, Bot, Box, Dia, Neg, Or, Succ, Top, Var, variables
 
 MAX_VARIABLES = 12
 
@@ -99,7 +100,21 @@ def consequence(premises, conclusion):
 def consequence_countermodel(premises, conclusion):
     """First valuation where the meet of the premise values does not sit below
     the conclusion value, or None if the consequence holds."""
-    return countermodel(entailment(premises, conclusion))
+    premises = list(premises)
+    if not premises:
+        return countermodel(conclusion)
+    return countermodel(Succ(_meet(premises), conclusion))
+
+
+def _meet(premises):
+    """The premises joined by & as a balanced tree, so that evaluate recurses
+    to a depth logarithmic in their number.  & is associative and
+    commutative, so every shape takes the same values; up to three premises
+    the tree is the left-deep one of syntax.entailment."""
+    if len(premises) == 1:
+        return premises[0]
+    half = (len(premises) + 1) // 2
+    return And(_meet(premises[:half]), _meet(premises[half:]))
 
 
 def conjugate(h):

@@ -12,8 +12,6 @@ either calculus an arbitrary formula.
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
@@ -205,18 +203,20 @@ def expand_derived(sf1, sf2):
     return _DERIVED[plain.sign, neg.sign](plain.formula)
 
 
-@dataclass
 class Node:
     """One rule application (or the root).  `added` lists the signed formulas
     the application put on the branch at this point.  A closed node keeps the
     signed formula that closed it in `closed_by`, with the complement it
     conflicts with, if any; close_reason renders them."""
 
-    added: list
-    rule: Optional[str] = None
-    children: list = field(default_factory=list)
-    closed: bool = False
-    closed_by: Optional[tuple] = None
+    __slots__ = ("added", "rule", "children", "closed", "closed_by")
+
+    def __init__(self, added, rule=None, children=None, closed=False, closed_by=None):
+        self.added = added
+        self.rule = rule
+        self.children = [] if children is None else children
+        self.closed = closed
+        self.closed_by = closed_by
 
     @property
     def close_reason(self):
@@ -281,11 +281,13 @@ class Branch:
         self.node.closed_by = sf, complement
 
 
-@dataclass
 class Tableau:
-    root: Node
-    branches: list
-    system: Signature
+    __slots__ = ("root", "branches", "system")
+
+    def __init__(self, root, branches, system):
+        self.root = root
+        self.branches = branches
+        self.system = system
 
     @property
     def closed(self):
@@ -403,16 +405,20 @@ def _pick_rule(sf, branch, system, expansions):
     return expansions[sf]
 
 
-@dataclass
 class Proved:
-    tableau: Tableau
+    __slots__ = ("tableau",)
+
+    def __init__(self, tableau):
+        self.tableau = tableau
 
 
-@dataclass
 class Refuted:
-    model: dict
-    branch: Branch
-    tableau: Tableau
+    __slots__ = ("model", "branch", "tableau")
+
+    def __init__(self, model, branch, tableau):
+        self.model = model
+        self.branch = branch
+        self.tableau = tableau
 
 
 def decide(f, system, derived=False, rng=None):

@@ -2,8 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -536,3 +539,43 @@ def test_mutated_proofs_keep_the_exit_contract(tmp_path):
                 code = main([command, str(path)])
             assert code in (0, 1, 2), (command, obj, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# --- start-up --------------------------------------------------------------------
+#
+# Every command line starts a fresh interpreter, so what `import tml.cli`
+# loads is paid on every call.  These run the interpreter as the console
+# script would, without site-packages (-S), on this checkout's sources.
+
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def _fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _modules_after(statement):
+    done = _fresh_python("-c", f"import sys; {statement}; print(*sys.modules)")
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_skips_costly_modules():
+    # Measured against what argparse and tml's own imports load by
+    # themselves, so that another Python version's stdlib cannot fail it.
+    baseline = _modules_after("import argparse, re, weakref")
+    loaded = _modules_after("import tml.cli")
+    assert "tml.cli" in loaded
+    assert not {"dataclasses", "typing", "inspect", "json"} & (loaded - baseline)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["parse", "p"], 0, "p\n"),
+    (["valid", "p"], 1, "INVALID  countermodel: p=0\n"),
+    (["parse", "p", "--json"], 0, '{\n  "schema": 1,\n  "formula": "p",\n  "variables": [\n    "p"\n  ]\n}\n'),
+])
+def test_module_entry_point(argv, code, out):
+    done = _fresh_python("-m", "tml.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")

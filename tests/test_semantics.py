@@ -106,6 +106,13 @@ def test_consequence_basics():
     assert consequence([parse("p")], parse("~p > bot"))
 
 
+def test_consequence_takes_a_thousand_premises():
+    # Joined left-deep, this many premises exhaust evaluate's recursion.
+    p = parse("p")
+    assert consequence_countermodel([p] * 1000, p) is None
+    assert consequence_countermodel([p] * 1000, parse("q")) == {"p": "n", "q": "0"}
+
+
 def test_entailment_does_not_internalize():
     # A premise set can entail bot while the implication form fails.
     mark = "<>(({f}) & ~({f}))"
@@ -123,7 +130,7 @@ def test_consequence_witness_matches_a_direct_search():
     rng = random.Random(2718)
     for _ in range(300):
         premises = [random_formula(rng, names=("p", "q", "r"), depth=3)
-                    for _ in range(rng.randint(1, 3))]
+                    for _ in range(rng.randint(1, 6))]
         conclusion = random_formula(rng, names=("p", "q", "r"), depth=3)
         names = set(variables(conclusion)).union(*map(variables, premises))
         expected = None
