@@ -25,6 +25,7 @@ from .syntax import (
     Box,
     Neg,
     Or,
+    ParseError,
     Var,
     complexity,
     instantiate,
@@ -138,8 +139,12 @@ def conclusion_of(tree):
     return tree.conclusion
 
 
-def _check_language(f):
-    for g in subformulas(f):
+def _check_language(f, seen):
+    """Raise SchemaError if f leaves the proof language.  seen holds the
+    formulas already checked in this call, and this one's parts join it."""
+    if f in seen:
+        return
+    for g in subformulas(f, seen):
         if type(g) not in _ALLOWED_FORMULA_TYPES:
             raise SchemaError(
                 f"formula {render(g)} is outside the proof language "
@@ -219,6 +224,7 @@ def check(proof):
     conclusion).  Raises SchemaError or DischargeError."""
     marker_formula = {}
     discharged = set()
+    seen = set()
 
     def note_marker(marker, formula, where):
         old = marker_formula.get(marker)
@@ -230,49 +236,61 @@ def check(proof):
                 f"{render(formula)} ({where})"
             )
 
-    def walk(t):
-        # returns (open marked classes: dict marker -> formula,
-        #          open unmarked assumptions: set of formulas)
-        if isinstance(t, Assume):
-            _check_language(t.formula)
-            if t.marker is None:
-                return {}, {t.formula}
-            note_marker(t.marker, t.formula, "assumption leaf")
-            return {t.marker: t.formula}, set()
-        if isinstance(t, MA):
-            _check_language(t.formula)
-            _expect("MA", "formula", _MA_SHAPE, t.formula, {})
-            return {}, set()
-        if not isinstance(t, Rule):
-            raise SchemaError(f"not a proof node: {t!r}")
-        _check_language(t.conclusion)
-        for _, f in t.discharges:
-            _check_language(f)
-        results = [walk(p) for p in t.premises]
-        _schema_check(t)
-        scopes = DISCHARGE_SCOPES.get(t.tag, ())
-        for (marker, formula), scope in zip(t.discharges, scopes):
-            if marker in discharged:
-                raise DischargeError(
-                    f"marker {marker!r} is discharged by two rule applications"
-                )
-            discharged.add(marker)
-            note_marker(marker, formula, f"discharge at {t.tag}")
-            for i, (marked, _) in enumerate(results):
-                if i != scope and marker in marked:
+    # One explicit-stack walk: a node's language is checked on the way down,
+    # its schema and discharges once its premises are done.  results holds,
+    # per finished node, its open marked classes (dict marker -> formula)
+    # and open unmarked assumptions (set of formulas).
+    results = []
+    stack = [(proof, False)]
+    while stack:
+        t, premises_done = stack.pop()
+        if premises_done:
+            first = len(results) - len(t.premises)
+            below = results[first:]
+            del results[first:]
+            _schema_check(t)
+            scopes = DISCHARGE_SCOPES.get(t.tag, ())
+            for (marker, formula), scope in zip(t.discharges, scopes):
+                if marker in discharged:
                     raise DischargeError(
-                        f"marker {marker!r} is open in premise {i} of {t.tag}, "
-                        f"outside its discharge scope (premise {scope})"
+                        f"marker {marker!r} is discharged by two rule applications"
                     )
-            results[scope][0].pop(marker, None)
-        marked = {}
-        unmarked = set()
-        for m, u in results:
-            marked.update(m)
-            unmarked |= u
-        return marked, unmarked
+                discharged.add(marker)
+                note_marker(marker, formula, f"discharge at {t.tag}")
+                for i, (marked, _) in enumerate(below):
+                    if i != scope and marker in marked:
+                        raise DischargeError(
+                            f"marker {marker!r} is open in premise {i} of {t.tag}, "
+                            f"outside its discharge scope (premise {scope})"
+                        )
+                below[scope][0].pop(marker, None)
+            marked = {}
+            unmarked = set()
+            for m, u in below:
+                marked.update(m)
+                unmarked |= u
+            results.append((marked, unmarked))
+        elif isinstance(t, Assume):
+            _check_language(t.formula, seen)
+            if t.marker is None:
+                results.append(({}, {t.formula}))
+            else:
+                note_marker(t.marker, t.formula, "assumption leaf")
+                results.append(({t.marker: t.formula}, set()))
+        elif isinstance(t, MA):
+            _check_language(t.formula, seen)
+            _expect("MA", "formula", _MA_SHAPE, t.formula, {})
+            results.append(({}, set()))
+        elif isinstance(t, Rule):
+            _check_language(t.conclusion, seen)
+            for _, f in t.discharges:
+                _check_language(f, seen)
+            stack.append((t, True))
+            stack.extend((p, False) for p in reversed(t.premises))
+        else:
+            raise SchemaError(f"not a proof node: {t!r}")
 
-    marked, unmarked = walk(proof)
+    [(marked, unmarked)] = results
     open_formulas = frozenset(unmarked) | frozenset(marked.values())
     return Judgement(open_formulas, conclusion_of(proof))
 
@@ -427,17 +445,13 @@ def _subtrees(tree):
             stack.extend(t.premises)
 
 
-def analyze(proof, ranks=None):
+def analyze(proof):
     """Find all segments and classify the cuts.  A segment starts at any
     occurrence that is not a del-rule conclusion and extends downward while
     it is a minor premise of a del-rule.  It is a cut when it finally lands
     as the major premise of an E-rule and is either longer than one or starts
-    at an I-rule conclusion.  Segments come in preorder of their start.
-
-    ranks, if given, is a dict from cut formula to its complexity that the
-    call reads and extends, so that normalize computes each rank once."""
-    if ranks is None:
-        ranks = {}
+    at an I-rule conclusion.  Segments come in preorder of their start."""
+    ranks = {}
     segments = []
     cuts = []
     cut_ranks = []
@@ -476,8 +490,118 @@ def analyze(proof, ranks=None):
     return CutReport(tuple(segments), tuple(cuts), cutrank, critical)
 
 
+# A subtree's summary: what normalize needs to know of it, as a tuple
+#   (node, formula, count, total, cuts_if_consumed, start, length,
+#    rank, cut_total, cut_start, cut_length, cut_formula).
+# Paths are relative to the subtree's root and stored as nested (index, rest)
+# pairs, () for the root itself, which order like the flat paths they spell.
+# The first seven fields describe the open group, the segments that reach
+# the root: their formula (in a checked proof every segment through a
+# del-rule carries its conclusion), how many there are, the sum of their
+# lengths, whether they are cuts if the root is consumed as an elimination's
+# major premise, and the start and length of the rightmost one.  The last
+# five describe the cuts that end inside the subtree, at their highest rank
+# only: the rank (-1 if there is none), their total length, and the
+# rightmost one's start, length and formula.  The node itself is kept so
+# that its id, the memo key, stays valid.
+_RANK = 7
+
+
+def _leaf_summary(t):
+    return (t, t.formula, 1, 1, False, (), 1, -1, 0, None, 0, None)
+
+
+def _summarize_node(t, below, ranks):
+    """The summary of a Rule node from its premises' summaries, in
+    O(premises)."""
+    rank, cut_total, cut_start, cut_length, cut_formula = -1, 0, None, 0, None
+    for i, b in enumerate(below):
+        # A later premise's cuts start to the right of an earlier one's.
+        if b[7] > rank:
+            rank, cut_total = b[7], b[8]
+            cut_start, cut_length, cut_formula = (i, b[9]), b[10], b[11]
+        elif b[7] == rank >= 0:
+            cut_total += b[8]
+            cut_start, cut_length, cut_formula = (i, b[9]), b[10], b[11]
+    tag = t.tag
+    if below and tag in CUT_E_TAGS:
+        major = below[0]
+        if major[4] and major[2]:
+            formula = major[1]
+            r = ranks.get(formula)
+            if r is None:
+                r = ranks[formula] = complexity(formula)
+            start = (0, major[5])
+            if r > rank:
+                rank, cut_total = r, major[3]
+                cut_start, cut_length, cut_formula = start, major[6], formula
+            elif r == rank:
+                cut_total += major[3]
+                if start > cut_start:
+                    cut_start, cut_length, cut_formula = start, major[6], formula
+    if tag not in DEL_TAGS:
+        return (t, t.conclusion, 1, 1, tag in I_TAGS, (), 1,
+                rank, cut_total, cut_start, cut_length, cut_formula)
+    # The minor premises' open segments run on through this node.
+    count = total = length = 0
+    start = None
+    for i, b in enumerate(below[1:3], 1):
+        if b[2]:
+            count += b[2]
+            total += b[3] + b[2]
+            start, length = (i, b[5]), b[6] + 1
+    return (t, t.conclusion, count, total, True, start, length,
+            rank, cut_total, cut_start, cut_length, cut_formula)
+
+
+def _summarize(tree, memo, ranks):
+    """The summary of tree.  memo maps id(node) to the node's summary, which
+    holds the node, so an id stays valid while it is a key; a node already
+    in memo, and so everything under it, is not visited again."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if id(t) in memo:
+            continue
+        if not isinstance(t, Rule):
+            memo[id(t)] = _leaf_summary(t)
+            continue
+        below, missing = [], []
+        for p in t.premises:
+            s = memo.get(id(p))
+            if s is None:
+                if isinstance(p, Rule):
+                    missing.append(p)
+                    continue
+                s = memo[id(p)] = _leaf_summary(p)
+            below.append(s)
+        if missing:
+            # Come back to t once its missing premises are summarized.
+            stack.append(t)
+            stack.extend(missing)
+        else:
+            memo[id(t)] = _summarize_node(t, below, ranks)
+    return memo[id(tree)]
+
+
+def _measure(summary):
+    return max(summary[_RANK], 0), summary[8]
+
+
+def _critical_segment(summary):
+    """The rightmost critical cut of a summarized proof, as analyze would
+    report it."""
+    flat, rest = [], summary[9]
+    while rest:
+        i, rest = rest
+        flat.append(i)
+    flat = tuple(flat)
+    return Segment(summary[11], tuple(flat[:len(flat) - k] for k in range(summary[10])))
+
+
 def is_normal(proof):
-    return not analyze(proof).critical
+    """True if the proof has no cut; the same as not analyze(proof).critical."""
+    return _summarize(proof, {}, {})[_RANK] < 0
 
 
 # --- marker plumbing ----------------------------------------------------------
@@ -569,11 +693,16 @@ def _substitute(tree, marker, replacement, supply):
 
 
 def _replace_at(tree, path, new):
-    if not path:
-        return new
-    premises = list(tree.premises)
-    premises[path[0]] = _replace_at(premises[path[0]], path[1:], new)
-    return Rule(tree.tag, tree.conclusion, tuple(premises), tree.discharges)
+    """tree with the node at path replaced by new: the rules on the path are
+    rebuilt, every other subtree is kept as the same object."""
+    spine = []
+    for i in path:
+        spine.append(tree)
+        tree = tree.premises[i]
+    for t, i in zip(reversed(spine), reversed(path)):
+        new = Rule(t.tag, t.conclusion, t.premises[:i] + (new,) + t.premises[i + 1:],
+                   t.discharges)
+    return new
 
 
 def _node_at(tree, path):
@@ -745,10 +874,6 @@ def convert_at(proof, cut):
     return _convert(proof, _resolve_cut(proof, cut), _MarkerSupply(proof))[0]
 
 
-def _measure(report):
-    return report.cutrank, sum(s.length for s in report.critical)
-
-
 def normalize(proof, observer=None):
     """Remove all critical cuts: first atomize bot-eliminations, then
     repeatedly convert the critical cut whose start position is rightmost
@@ -756,18 +881,20 @@ def normalize(proof, observer=None):
     shrink (cutrank, total critical length); if not, something is wrong with
     the engine and InvariantViolation is raised."""
     check(proof)
-    ranks = {}
+    # Summaries of every node met in this call: a step summarizes only the
+    # nodes its conversion built, the rebuilt spine included.
+    memo, ranks = {}, {}
     result = atomize_bot(proof)
-    report = analyze(result, ranks)
-    measure = _measure(report)
+    summary = _summarize(result, memo, ranks)
+    measure = _measure(summary)
     if observer is not None and result is not proof:
         observer({"step": 0, "kind": "atomize", "formula": None, "measure": measure})
     step = 1
-    while report.critical:
-        seg = max(report.critical, key=lambda s: s.positions[0])
+    while summary[_RANK] >= 0:
+        seg = _critical_segment(summary)
         result, kind = _convert(result, seg, _MarkerSupply(result))
-        report = analyze(result, ranks)
-        new_measure = _measure(report)
+        summary = _summarize(result, memo, ranks)
+        new_measure = _measure(summary)
         if not new_measure < measure:
             raise InvariantViolation(
                 f"normalization step {step} did not shrink the measure: "
@@ -868,10 +995,11 @@ def to_json(proof):
 
 MAX_PROOF_DEPTH = 200
 """Deepest rule nesting from_json() accepts, counted in rules on one path from
-the conclusion to a leaf.  from_json, check, normalize and to_json take up to
-two of Python's default 1000 frames per level, and normalizing can nearly
-double the depth (a detour's major side replaces the assumption at the bottom
-of its minor side), which still fits."""
+the conclusion to a leaf.  from_json, normalize (through atomize_bot and the
+marker renaming of its conversions) and to_json take up to two of Python's
+default 1000 frames per level; check, analyze and is_normal take none.
+Normalizing can nearly double the depth (a detour's major side replaces the
+assumption at the bottom of its minor side), which still fits."""
 
 
 def from_json(obj):
@@ -911,12 +1039,25 @@ def _from_json(obj):
         if not (isinstance(d, dict) and isinstance(d.get("marker"), str)
                 and isinstance(d.get("formula"), str)):
             raise ValueError(f"discharges[{i}] must be an object with string 'marker' and 'formula'")
-    return Rule(
-        rule,
-        parse(_text(obj, "conclusion")),
-        tuple(_from_json(p) for p in premises),
-        tuple((d["marker"], parse(d["formula"])) for d in discharges),
-    )
+    conclusion = parse(_text(obj, "conclusion"))
+    built = []
+    for i, p in enumerate(premises):
+        try:
+            built.append(_from_json(p))
+        except (ValueError, ParseError) as e:
+            _locate(e, f"premises[{i}]")
+            raise
+    return Rule(rule, conclusion, built,
+                tuple((d["marker"], parse(d["formula"])) for d in discharges))
+
+
+def _locate(error, where):
+    """Prefix the message of an error raised for a node below with where the
+    node sits: 'premises[0].premises[1]: <message>'."""
+    path, message = getattr(error, "_json_path", (None, str(error)))
+    path = where if path is None else f"{where}.{path}"
+    error._json_path = path, message
+    error.args = (f"{path}: {message}",)
 
 
 def _text(obj, key):

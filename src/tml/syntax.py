@@ -178,10 +178,12 @@ def in_signature(f, sig):
     return all(type(g) in types for g in subformulas(f))
 
 
-def subformulas(f):
+def subformulas(f, seen=None):
     """Yield f and each distinct subformula once, in preorder: a subformula
-    met again, and so everything under it, is skipped."""
-    seen = set()
+    met again, and so everything under it, is skipped.  A caller that walks
+    several formulas can pass one seen set to skip what earlier walks met."""
+    if seen is None:
+        seen = set()
     stack = [f]
     while stack:
         g = stack.pop()

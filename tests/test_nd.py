@@ -16,7 +16,7 @@ from proofgen import (
 from tml import nd
 from tml.errors import InvariantViolation
 from tml.semantics import consequence
-from tml.syntax import And, Bot, Box, Neg, Or, Var, complexity, parse, render
+from tml.syntax import And, Bot, Box, Neg, Or, ParseError, Var, complexity, parse, render
 
 P = Var("p")
 Q = Var("q")
@@ -655,6 +655,38 @@ def test_from_json_rejects_garbage():
                           "discharges": [discharge]})
     with pytest.raises(ValueError, match="unknown rule tag"):
         nd.from_json({"rule": ["AndI"], "conclusion": "p"})
+
+
+_P_LEAF = {"rule": "Assume", "formula": "p"}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"rule": "AndI", "conclusion": "p & p",
+      "premises": [_P_LEAF, {"rule": "Assume", "formula": 5}]},
+     "^premises\\[1\\]: formula must be a string$"),
+    ({"rule": "NegNegE", "conclusion": "p",
+      "premises": [{"rule": "NegNegI", "conclusion": "~~p",
+                    "premises": [{"rule": "Assume", "formula": "p", "marker": 3}]}]},
+     "^premises\\[0\\]\\.premises\\[0\\]: marker must be a string or null$"),
+    ({"rule": "BoxE", "conclusion": "p",
+      "premises": [{"rule": "BoxI", "conclusion": "[]p", "premises": [],
+                    "discharges": [{"marker": "u"}]}]},
+     "^premises\\[0\\]: discharges\\[0\\] must be an object with string 'marker' and 'formula'$"),
+    ({"rule": "AndI", "conclusion": "p & p",
+      "premises": [_P_LEAF, {"rule": "AndE1", "conclusion": "p", "premises": [7]}]},
+     "^premises\\[1\\]\\.premises\\[0\\]: proof node must be an object"),
+])
+def test_from_json_names_where_a_nested_error_sits(obj, message):
+    with pytest.raises(ValueError, match=message):
+        nd.from_json(obj)
+
+
+def test_from_json_locates_a_nested_parse_error():
+    obj = {"rule": "AndI", "conclusion": "p & p",
+           "premises": [_P_LEAF, {"rule": "Assume", "formula": "p &"}]}
+    with pytest.raises(ParseError, match="^premises\\[1\\]: parse error at position 4") as caught:
+        nd.from_json(obj)
+    assert caught.value.position == 4
 
 
 def _rule_depth(proof):

@@ -57,6 +57,78 @@ def test_analyze_matches_the_reference():
     assert checked > 300
 
 
+def _reference_corpus():
+    """The proofs of test_analyze_matches_the_reference and every single
+    conversion of each."""
+    for proof in _proof_pool(200):
+        yield proof
+        for cut in nd.analyze(proof).cuts:
+            yield nd.convert_at(proof, cut)
+
+
+def test_summary_and_is_normal_match_analyze():
+    checked = 0
+    for p in _reference_corpus():
+        report = nd.analyze(p)
+        assert nd.is_normal(p) == (not report.critical)
+        summary = nd._summarize(p, {}, {})
+        assert nd._measure(summary) == (report.cutrank,
+                                        sum(s.length for s in report.critical))
+        if report.critical:
+            rightmost = max(report.critical, key=lambda s: s.positions[0])
+            assert nd._critical_segment(summary) == rightmost
+        else:
+            assert summary[nd._RANK] == -1
+        checked += 1
+    assert checked > 300
+
+
+def test_normalize_never_analyzes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normalize called nd.analyze")
+
+    monkeypatch.setattr(nd, "analyze", refuse)
+    for proof in _proof_pool(500):
+        nd.normalize(proof)
+
+
+def test_a_step_summarizes_only_the_nodes_it_built(monkeypatch):
+    # Each step's summary work is counted between two conversions and
+    # compared with the nodes the conversion built: the rebuilt spine plus
+    # any new subtree.  Without the per-call memo a step would summarize the
+    # whole proof again, the Assume(q) leaves off the spine included.
+    made = []
+
+    def counted(real):
+        def summarize(t, *rest):
+            made.append(t)
+            return real(t, *rest)
+        return summarize
+
+    steps = []
+    real = nd._convert
+
+    def convert(proof, seg, supply):
+        out = real(proof, seg, supply)
+        steps.append((proof, out[0], len(made)))
+        return out
+
+    monkeypatch.setattr(nd, "_summarize_node", counted(nd._summarize_node))
+    monkeypatch.setattr(nd, "_leaf_summary", counted(nd._leaf_summary))
+    monkeypatch.setattr(nd, "_convert", convert)
+    d = nd.Assume(P)
+    for _ in range(100):
+        d = nd.and_e1(nd.and_i(d, nd.Assume(Q)))
+    assert nd.normalize(d) == nd.Assume(P)
+    assert len(steps) == 100
+    assert steps[0][2] == 301  # the first summary visits every node once
+    ends = [made_before for _, _, made_before in steps[1:]] + [len(made)]
+    for (before, after, start), end in zip(steps, ends):
+        old = {id(t) for t in nd._subtrees(before)}
+        built = {id(t) for t in nd._subtrees(after)} - old
+        assert end - start == len(built)
+
+
 def _counting_all_markers(monkeypatch):
     calls = []
     real = nd.all_markers
@@ -128,3 +200,11 @@ def test_analyze_takes_a_deep_chain():
     assert len(report.critical) == 1000
     assert report.critical[0].positions == ((0,),)
     assert len(report.segments) == 3001
+
+
+def test_check_takes_a_deep_chain():
+    d = nd.Assume(P)
+    for _ in range(1000):
+        d = nd.and_e1(nd.and_i(d, nd.Assume(Q)))
+    assert nd.check(d) == nd.Judgement(frozenset([P, Q]), P)
+    assert not nd.is_normal(d)
