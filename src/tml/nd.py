@@ -238,17 +238,31 @@ def check(proof):
 
     # One explicit-stack walk: a node's language is checked on the way down,
     # its schema and discharges once its premises are done.  results holds,
-    # per finished node, its open marked classes (dict marker -> formula)
-    # and open unmarked assumptions (set of formulas).
+    # per finished node, its open marked classes (dict marker -> formula),
+    # its open unmarked assumptions (set of formulas) and the first marker
+    # its subtree discharges, as a 1-tuple or (); no node changes another's.
+    # done keeps a Rule's entry by node identity, so a shared subtree is
+    # checked once.  Checked as a tree, it would pass again up to its first
+    # discharge and fail there, as that marker is taken.  A shared leaf is
+    # checked again, in O(1).  A stack entry carries the node's key in done
+    # once its premises are pushed, None before.
     results = []
-    stack = [(proof, False)]
+    done = {}
+    stack = [(proof, None)]
     while stack:
-        t, premises_done = stack.pop()
-        if premises_done:
+        t, key = stack.pop()
+        if key is not None:
             first = len(results) - len(t.premises)
             below = results[first:]
             del results[first:]
             _schema_check(t)
+            marked = {}
+            unmarked = set()
+            first_discharge = ()
+            for m, u, d in below:
+                marked.update(m)
+                unmarked |= u
+                first_discharge = first_discharge or d
             scopes = DISCHARGE_SCOPES.get(t.tag, ())
             for (marker, formula), scope in zip(t.discharges, scopes):
                 if marker in discharged:
@@ -257,40 +271,46 @@ def check(proof):
                     )
                 discharged.add(marker)
                 note_marker(marker, formula, f"discharge at {t.tag}")
-                for i, (marked, _) in enumerate(below):
-                    if i != scope and marker in marked:
+                for i, (m, _, _) in enumerate(below):
+                    if i != scope and marker in m:
                         raise DischargeError(
                             f"marker {marker!r} is open in premise {i} of {t.tag}, "
                             f"outside its discharge scope (premise {scope})"
                         )
-                below[scope][0].pop(marker, None)
-            marked = {}
-            unmarked = set()
-            for m, u in below:
-                marked.update(m)
-                unmarked |= u
-            results.append((marked, unmarked))
+                marked.pop(marker, None)
+                first_discharge = first_discharge or (marker,)
+            done[key] = entry = marked, unmarked, first_discharge
+            results.append(entry)
         elif isinstance(t, Assume):
             _check_language(t.formula, seen)
             if t.marker is None:
-                results.append(({}, {t.formula}))
+                results.append(({}, {t.formula}, ()))
             else:
                 note_marker(t.marker, t.formula, "assumption leaf")
-                results.append(({t.marker: t.formula}, set()))
+                results.append(({t.marker: t.formula}, set(), ()))
         elif isinstance(t, MA):
             _check_language(t.formula, seen)
             _expect("MA", "formula", _MA_SHAPE, t.formula, {})
-            results.append(({}, set()))
+            results.append(({}, set(), ()))
         elif isinstance(t, Rule):
-            _check_language(t.conclusion, seen)
-            for _, f in t.discharges:
-                _check_language(f, seen)
-            stack.append((t, True))
-            stack.extend((p, False) for p in reversed(t.premises))
+            key = id(t)
+            entry = done.get(key)
+            if entry is None:
+                _check_language(t.conclusion, seen)
+                for _, f in t.discharges:
+                    _check_language(f, seen)
+                stack.append((t, key))
+                stack.extend((p, None) for p in reversed(t.premises))
+            elif entry[2]:
+                raise DischargeError(
+                    f"marker {entry[2][0]!r} is discharged by two rule applications"
+                )
+            else:
+                results.append(entry)
         else:
             raise SchemaError(f"not a proof node: {t!r}")
 
-    [(marked, unmarked)] = results
+    [(marked, unmarked, _)] = results
     open_formulas = frozenset(unmarked) | frozenset(marked.values())
     return Judgement(open_formulas, conclusion_of(proof))
 

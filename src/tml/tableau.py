@@ -11,6 +11,7 @@ either calculus an arbitrary formula.
 """
 
 import functools
+import gc
 from collections import deque
 
 from .algebra import DESIGNATED, ONE, VALUES
@@ -20,13 +21,11 @@ from .semantics import evaluate
 from .syntax import (
     BOT,
     TOP,
-    Bot,
     Neg,
     SYMBOLS,
     Signature,
     SignatureError,
     Succ,
-    Top,
     Var,
     entailment,
     in_signature,
@@ -40,13 +39,15 @@ from .syntax import (
 
 class SignedFormula(Interned):
     """T(f) or F(f), interned like formulas: equal signed formulas are one
-    object."""
+    object.  Interning also records what Branch.add needs of it: its kind
+    in _KINDS and the TABLE key its complement would have."""
 
-    __slots__ = ("sign", "formula")
+    __slots__ = ("sign", "formula", "_kind", "_complement_key")
     __match_args__ = ("sign", "formula")
 
     def __new__(cls, sign, formula):
-        key = _key(sign, formula)
+        ident = id(formula)
+        key = sign, ident  # _key(sign, formula), built inline on this hot path
         node = TABLE.get(key, absent)()
         if node is None:
             if sign not in ("T", "F"):
@@ -54,6 +55,10 @@ class SignedFormula(Interned):
             node = object.__new__(cls)
             _SET_SIGN(node, sign)
             _SET_FORMULA(node, formula)
+            shape = type(formula)  # _shape(formula), inline like the key
+            under = type(formula.body) if shape is Neg else None
+            _SET_KIND(node, _KINDS.get((sign, shape, under), _EXPANDS))
+            _SET_COMPLEMENT_KEY(node, ("F" if sign == "T" else "T", ident))
             node = enter(key, node)
         return node
 
@@ -63,6 +68,8 @@ class SignedFormula(Interned):
 
 _SET_SIGN = SignedFormula.sign.__set__
 _SET_FORMULA = SignedFormula.formula.__set__
+_SET_KIND = SignedFormula._kind.__set__
+_SET_COMPLEMENT_KEY = SignedFormula._complement_key.__set__
 
 
 def _key(sign, formula):
@@ -161,11 +168,18 @@ _DERIVED = {signs: _compile(_PAIR[0], alts) for signs, alts in _DERIVED_RULES.it
 # The formula a signed a > b or ~(a > b) pairs with under a derived rule.
 _PARTNER = {_shape(parse(p)): _instantiator(p, q) for p, q in (_PAIR, _PAIR[::-1])}
 
-_LITERALS = frozenset(shape for k in (Var, Bot, Top) for shape in ((k, None), (Neg, k)))
-
-# Signed constants that no valuation satisfies; adding one closes a branch.
-_CLOSING = frozenset(sf for f in (BOT, TOP, Neg(BOT), Neg(TOP)) for sf in (T(f), F(f))
-                     if not satisfies({}, sf))
+# What Branch.add does with a signed formula, keyed by its sign and _shape:
+# a signed literal stays on the branch, one that no valuation satisfies (a
+# signed constant whose value disagrees with its sign) closes the branch, and
+# every other shape waits for its rule.  SignedFormula reads this table once
+# per interned object, so it must be complete before the first one is built.
+_LITERAL, _CLOSES, _EXPANDS = "literal", "closes", "expands"
+_KINDS = {
+    (sign, *_shape(f)): _LITERAL if any(
+        (evaluate(f, {"a": v}) in DESIGNATED) == (sign == "T") for v in VALUES
+    ) else _CLOSES
+    for f in (Var("a"), Neg(Var("a")), BOT, TOP, Neg(BOT), Neg(TOP)) for sign in ("T", "F")
+}
 
 # The values a signed literal over a variable allows it, keyed by the sign
 # and the literal's shape.
@@ -178,9 +192,8 @@ _ALLOWED = {
 def _rule(sf, system):
     """The (label, rule) of sf's row in the system's table; None for a
     literal.  Raises SignatureError when sf has no row."""
-    kind, under = _shape(sf.formula)
-    rule = _INDEX[system].get((sf.sign, kind, under))
-    if rule is None and (kind, under) not in _LITERALS:
+    rule = _INDEX[system].get((sf.sign, *_shape(sf.formula)))
+    if rule is None and sf._kind is _EXPANDS:
         raise SignatureError(f"no {system.value}-system rule for {sf}")
     return rule
 
@@ -259,20 +272,22 @@ class Branch:
 
     def add(self, sf):
         """Record sf once; closes the branch on a sign conflict or an
-        unsatisfiable signed constant.  The complement is looked up, not
-        built: if it was never interned, it is not on the branch."""
+        unsatisfiable signed constant.  The complement is looked up by the
+        key sf cached when it was interned, not built: if it was never
+        interned, it is not on the branch."""
         if sf in self.present or self.closed:
             return
         self.present.add(sf)
         self.formulas.append(sf)
         self.node.added.append(sf)
-        if sf in _CLOSING:
+        kind = sf._kind
+        if kind is _CLOSES:
             self._close(sf, None)
             return
-        complement = lookup(_key("F" if sf.sign == "T" else "T", sf.formula))
-        if complement is not None and complement in self.present:
+        complement = TABLE.get(sf._complement_key, absent)()
+        if complement in self.present:
             self._close(sf, complement)
-        elif _shape(sf.formula) not in _LITERALS:
+        elif kind is _EXPANDS:
             self.pending.append(sf)
 
     def _close(self, sf, complement):
@@ -297,6 +312,28 @@ class Tableau:
         return [b for b in self.branches if not b.closed]
 
 
+def _collector_paused(function):
+    """function, run with the cycle collector paused.  The engine builds no
+    reference cycles (a node knows its children, not its parent), so a
+    collection pass during a call can free nothing, yet the allocations of
+    a large tableau trigger thousands of them.  The collector is switched
+    back on afterwards only if it was on before, so a nested pause is a
+    no-op and a caller that keeps it off keeps it off."""
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def complete(roots, system, derived=False, rng=None, stop_on_open=False):
     """Build a finished tableau from the given signed formulas: every branch
     is run until it closes or all its rules are used up.
@@ -308,6 +345,11 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
     this choice.  stop_on_open abandons the remaining branches as soon as one
     completes open; branches are worked leftmost-first, so the open branch
     found this way is the leftmost open leaf of the finished tableau.
+
+    The cycle collector is paused for the call: the tableau holds no
+    reference cycles, so its passes would find nothing.  It is switched back
+    on at the end only if it was on at the start; a gc.disable() made in
+    another thread meanwhile is undone then.
     """
     roots = list(roots)
     for sf in roots:
@@ -421,12 +463,19 @@ class Refuted:
         self.tableau = tableau
 
 
+@_collector_paused
 def decide(f, system, derived=False, rng=None):
     """Translate f into the system's signature and test whether it always
     takes the value 1: the tableau for F(translation) either closes (Proved)
     or leaves an open branch, from whose leftmost representative a
     countermodel is read off (Refuted).  Raises InvariantViolation if f takes
-    the value 1 under that countermodel."""
+    the value 1 under that countermodel.
+
+    The cycle collector is paused for the whole call, translation and model
+    extraction included: none of it builds reference cycles, so its passes
+    would find nothing.  It is switched back on at the end only if it was on
+    at the start; a gc.disable() made in another thread meanwhile is undone
+    then."""
     g = translate(f, system)
     tableau = complete([F(g)], system, derived=derived, rng=rng, stop_on_open=True)
     if tableau.closed:
@@ -472,16 +521,14 @@ def extract_model(branch, names=()):
 def format_tableau(tableau):
     """Indented text rendering of the tableau tree with rule labels."""
     lines = []
-
-    def walk(node, depth):
+    stack = [(tableau.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         for i, sf in enumerate(node.added):
             tag = f"  [{node.rule}]" if i == 0 and node.rule is not None else ""
             lines.append(f"{pad}{sf}{tag}")
         if node.closed:
             lines.append(f"{pad}* closed: {node.close_reason}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tableau.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

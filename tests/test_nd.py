@@ -210,6 +210,36 @@ def test_discharge_class_formula_must_match():
         nd.check(bad)
 
 
+def test_check_visits_each_shared_node_once(monkeypatch):
+    # 12 levels of d = and_e1(and_i(d, d)): 25 distinct nodes, but a tree
+    # walk would check the innermost AndI 2**11 times.
+    d = nd.Assume(P)
+    for _ in range(12):
+        d = nd.and_e1(nd.and_i(d, d))
+    visits = {}
+    schema_check = nd._schema_check
+
+    def counted(node):
+        visits[id(node)] = visits.get(id(node), 0) + 1
+        schema_check(node)
+
+    monkeypatch.setattr(nd, "_schema_check", counted)
+    assert nd.check(d) == nd.Judgement(frozenset([P]), P)
+    assert len(visits) == 24
+    assert set(visits.values()) == {1}
+
+
+def test_shared_discharge_fails_as_in_the_tree():
+    # Checked as a tree, the second copy of the OrE discharges u again.
+    minor1 = nd.or_i1(nd.Assume(P, "u"), Q)
+    minor2 = nd.or_i2(nd.Assume(Q, "v"), P)
+    shared = nd.or_e(nd.Assume(parse("p | q")), minor1, minor2, "u", "v")
+    assert nd.check(shared).conclusion == parse("p | q")
+    with pytest.raises(nd.DischargeError,
+                       match="^marker 'u' is discharged by two rule applications$"):
+        nd.check(nd.and_i(shared, shared))
+
+
 def test_vacuous_discharge_allowed():
     proof = nd.or_e(nd.Assume(parse("p | q")), nd.Assume(parse("r")),
                     nd.Assume(parse("r")), "u", "v")

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -700,3 +702,137 @@ def test_adding_a_formula_interns_no_complement(monkeypatch):
     # an existing complement is still found
     branch.add(T(atom))
     assert branch.closed and branch.node.closed_by == (T(atom), F(atom))
+
+
+# --- cached rule data and the paused cycle collector --------------------------
+
+
+_LITERAL_SHAPES = {(Var, None), (Bot, None), (Top, None), (Neg, Var), (Neg, Bot), (Neg, Top)}
+
+
+def _instantiated_signed_formulas():
+    """Every signed formula the rule tables build from a and b: the principal
+    formulas of both systems and of the derived rules, and what they add."""
+    out = set()
+    s = Succ(A, B)
+    for system in Signature:
+        for sf in table_premises(system):
+            out.add(sf)
+            out.update(added for alt in expand(sf, system) for added in alt)
+    for plain, neg in tableau._DERIVED_RULES:
+        premises = SignedFormula(plain, s), SignedFormula(neg, Neg(s))
+        out.update(premises)
+        out.update(added for alt in expand_derived(*premises) for added in alt)
+    return out
+
+
+def test_cached_kind_and_complement_key_match_the_reference():
+    constants = (Bot(), Top(), Neg(Bot()), Neg(Top()))
+    signed = _instantiated_signed_formulas() | {
+        sf for f in constants for sf in (T(f), F(f))}
+    kinds = set()
+    for sf in signed:
+        other = "F" if sf.sign == "T" else "T"
+        assert sf._complement_key == (other, id(sf.formula)), str(sf)
+        complement = SignedFormula(other, sf.formula)
+        assert hashcons.TABLE[sf._complement_key]() is complement, str(sf)
+        if tableau._shape(sf.formula) not in _LITERAL_SHAPES:
+            expected = tableau._EXPANDS
+        elif any(satisfies(h, sf) for h in valuations(variables(sf.formula))):
+            expected = tableau._LITERAL
+        else:
+            expected = tableau._CLOSES
+        assert sf._kind is expected, str(sf)
+        kinds.add(expected)
+    assert kinds == {tableau._EXPANDS, tableau._LITERAL, tableau._CLOSES}
+    closing = {str(sf) for sf in signed if sf._kind is tableau._CLOSES}
+    assert closing == {"T(bot)", "F(~bot)", "F(top)", "T(~top)"}
+
+
+@pytest.fixture
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+_PAUSED_CALLS = {
+    "decide": lambda rng: decide(parse("p > q"), Signature.SUCC, rng=rng),
+    "complete": lambda rng: complete([F(parse("p > q"))], Signature.SUCC, rng=rng),
+}
+
+
+@pytest.mark.parametrize("call", list(_PAUSED_CALLS))
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_the_collector_is_paused_for_the_call(call, enabled, fails, restore_collector):
+    """Off inside the call; afterwards as it was before, whether the call
+    returns or raises and whether the caller had switched it off."""
+    seen = []
+
+    class Order:
+        def randrange(self, n):
+            seen.append(gc.isenabled())
+            if fails:
+                raise RuntimeError("no order")
+            return 0
+
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if fails:
+        with pytest.raises(RuntimeError, match="no order"):
+            _PAUSED_CALLS[call](Order())
+    else:
+        _PAUSED_CALLS[call](Order())
+    assert seen and not any(seen)
+    assert gc.isenabled() is enabled
+
+
+def test_concurrent_calls_leave_the_collector_on(restore_collector):
+    """Threads share the collector's switch.  Calls that overlap may cut one
+    another's pause short, but once they are all done it is on again."""
+    gc.enable()
+    formulas = [random_formula(random.Random(i), depth=4, ops="full") for i in range(40)]
+    errors = []
+
+    def work():
+        try:
+            for f in formulas:
+                decide(f, Signature.FULL)
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert gc.isenabled()
+
+
+def test_the_engine_builds_no_reference_cycles(restore_collector):
+    """Pausing the collector frees nothing late only because decide, its
+    trees and format_tableau leave no garbage that needs a collection pass:
+    dropping the results must free everything by reference counting."""
+    gc.collect()
+    gc.disable()
+    results = []
+    for f, system, derived, order in _decide_pool():
+        result = decide(f, system, derived=derived, rng=order)
+        format_tableau(result.tableau)
+        results.append(result)
+    assert len(results) == 2000
+    del result, results
+    assert gc.collect() == 0
