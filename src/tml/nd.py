@@ -187,18 +187,26 @@ _SHAPE_NAMES = {Neg: "a negation", And: "a conjunction", Or: "a disjunction", Bo
 
 
 def _expect(tag, role, pattern, f, binding):
-    """Match f against pattern, extending binding, or raise SchemaError
-    '<tag> <role> must be <X>': X names the pattern's shape when its outermost
-    connective differs from f's, else is the pattern with binding filled in."""
+    """Match f against pattern, extending binding, or raise _mismatch."""
     if not match(pattern, f, binding):
-        shape = type(pattern) is not type(f) and _SHAPE_NAMES.get(type(pattern))
-        raise SchemaError(f"{tag} {role} must be {shape or render(instantiate(pattern, binding))}")
+        raise _mismatch(tag, role, pattern, f, binding)
+
+
+def _mismatch(tag, role, pattern, f, binding):
+    """The SchemaError '<tag> <role> must be <X>' for an f that does not match
+    pattern: X names the pattern's shape when its outermost connective
+    differs from f's, else is the pattern with binding filled in.  Callers
+    on hot paths match first and build the role only for this."""
+    shape = type(pattern) is not type(f) and _SHAPE_NAMES.get(type(pattern))
+    return SchemaError(f"{tag} {role} must be {shape or render(instantiate(pattern, binding))}")
 
 
 def _expect_premises(tag, patterns, premises, binding):
     for i, (pattern, p) in enumerate(zip(patterns, premises)):
-        role = "premise" if len(patterns) == 1 else f"premise {i}"
-        _expect(tag, role, pattern, conclusion_of(p), binding)
+        f = conclusion_of(p)
+        if not match(pattern, f, binding):
+            role = "premise" if len(patterns) == 1 else f"premise {i}"
+            raise _mismatch(tag, role, pattern, f, binding)
 
 
 def _schema_check(node):
@@ -216,14 +224,15 @@ def _schema_check(node):
     _expect_premises(tag, premises, node.premises, binding)
     _expect(tag, "conclusion", conclusion, node.conclusion, binding)
     for i, (pattern, (_, f)) in enumerate(zip(discharges, node.discharges)):
-        _expect(tag, f"discharge {i}", pattern, f, binding)
+        if not match(pattern, f, binding):
+            raise _mismatch(tag, f"discharge {i}", pattern, f, binding)
 
 
 def check(proof):
     """Validate the whole tree; returns Judgement(open_assumptions,
     conclusion).  Raises SchemaError or DischargeError."""
     marker_formula = {}
-    discharged = set()
+    discharged = {}  # marker -> None, in the order of discharge
     seen = set()
 
     def note_marker(marker, formula, where):
@@ -238,79 +247,77 @@ def check(proof):
 
     # One explicit-stack walk: a node's language is checked on the way down,
     # its schema and discharges once its premises are done.  results holds,
-    # per finished node, its open marked classes (dict marker -> formula),
-    # its open unmarked assumptions (set of formulas) and the first marker
-    # its subtree discharges, as a 1-tuple or (); no node changes another's.
-    # done keeps a Rule's entry by node identity, so a shared subtree is
-    # checked once.  Checked as a tree, it would pass again up to its first
-    # discharge and fail there, as that marker is taken.  A shared leaf is
-    # checked again, in O(1).  A stack entry carries the node's key in done
-    # once its premises are pushed, None before.
+    # per finished node, its open marked classes (dict marker -> formula)
+    # and open unmarked assumptions (set of formulas); no node changes
+    # another's.  A Rule's stack entry carries, once its premises are
+    # pushed, how many markers were discharged before its subtree, None
+    # before.  done keeps a finished Rule's result by node identity, so a
+    # shared subtree is checked once.  Checked as a tree, a second copy would
+    # pass up to its first discharge and fail there, as that marker is
+    # taken; so for a subtree that discharges, done keeps that marker's
+    # position in discharged instead.  A shared leaf is checked again, in O(1).
     results = []
     done = {}
     stack = [(proof, None)]
     while stack:
-        t, key = stack.pop()
-        if key is not None:
+        t, before = stack.pop()
+        if before is not None:
             first = len(results) - len(t.premises)
             below = results[first:]
             del results[first:]
             _schema_check(t)
             marked = {}
             unmarked = set()
-            first_discharge = ()
-            for m, u, d in below:
+            for m, u in below:
                 marked.update(m)
                 unmarked |= u
-                first_discharge = first_discharge or d
             scopes = DISCHARGE_SCOPES.get(t.tag, ())
             for (marker, formula), scope in zip(t.discharges, scopes):
                 if marker in discharged:
                     raise DischargeError(
                         f"marker {marker!r} is discharged by two rule applications"
                     )
-                discharged.add(marker)
+                discharged[marker] = None
                 note_marker(marker, formula, f"discharge at {t.tag}")
-                for i, (m, _, _) in enumerate(below):
+                for i, (m, _) in enumerate(below):
                     if i != scope and marker in m:
                         raise DischargeError(
                             f"marker {marker!r} is open in premise {i} of {t.tag}, "
                             f"outside its discharge scope (premise {scope})"
                         )
                 marked.pop(marker, None)
-                first_discharge = first_discharge or (marker,)
-            done[key] = entry = marked, unmarked, first_discharge
+            entry = marked, unmarked
+            done[id(t)] = entry if len(discharged) == before else before
             results.append(entry)
         elif isinstance(t, Assume):
             _check_language(t.formula, seen)
             if t.marker is None:
-                results.append(({}, {t.formula}, ()))
+                results.append(({}, {t.formula}))
             else:
                 note_marker(t.marker, t.formula, "assumption leaf")
-                results.append(({t.marker: t.formula}, set(), ()))
+                results.append(({t.marker: t.formula}, set()))
         elif isinstance(t, MA):
             _check_language(t.formula, seen)
             _expect("MA", "formula", _MA_SHAPE, t.formula, {})
-            results.append(({}, set(), ()))
+            results.append(({}, set()))
         elif isinstance(t, Rule):
-            key = id(t)
-            entry = done.get(key)
+            entry = done.get(id(t))
             if entry is None:
                 _check_language(t.conclusion, seen)
                 for _, f in t.discharges:
                     _check_language(f, seen)
-                stack.append((t, key))
+                stack.append((t, len(discharged)))
                 stack.extend((p, None) for p in reversed(t.premises))
-            elif entry[2]:
+            elif isinstance(entry, int):
                 raise DischargeError(
-                    f"marker {entry[2][0]!r} is discharged by two rule applications"
+                    f"marker {list(discharged)[entry]!r} is discharged by two rule applications"
                 )
             else:
                 results.append(entry)
         else:
             raise SchemaError(f"not a proof node: {t!r}")
 
-    [(marked, unmarked, _)] = results
+    [(marked, unmarked)] = results
     open_formulas = frozenset(unmarked) | frozenset(marked.values())
     return Judgement(open_formulas, conclusion_of(proof))
 

@@ -733,7 +733,8 @@ def test_cached_kind_and_complement_key_match_the_reference():
     kinds = set()
     for sf in signed:
         other = "F" if sf.sign == "T" else "T"
-        assert sf._complement_key == (other, id(sf.formula)), str(sf)
+        assert hashcons.TABLE[tableau._key(sf.sign, sf.formula)]() is sf, str(sf)
+        assert sf._complement_key == tableau._key(other, sf.formula), str(sf)
         complement = SignedFormula(other, sf.formula)
         assert hashcons.TABLE[sf._complement_key]() is complement, str(sf)
         if tableau._shape(sf.formula) not in _LITERAL_SHAPES:
@@ -820,6 +821,54 @@ def test_concurrent_calls_leave_the_collector_on(restore_collector):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert gc.isenabled()
+
+
+def test_a_call_that_finds_the_collector_off_leaves_it_alone(monkeypatch):
+    """The interleaving that could leave the collector off for good: call B
+    reads the switch while call A holds it off, and A ends before B acts on
+    what it read.  B must not touch the switch then.  A stand-in for the gc
+    module holds B between its read and any later switch until A is done."""
+    a_done, b_read = threading.Event(), threading.Event()
+    errors = []
+
+    class Switch:
+        on = True
+
+        def isenabled(self):
+            if threading.current_thread() is b:
+                b_read.set()
+            return self.on
+
+        def disable(self):
+            if threading.current_thread() is b:
+                a_done.wait(timeout=10)
+            self.on = False
+
+        def enable(self):
+            self.on = True
+
+    class Order:  # A's expansion order: starts B and waits for its read
+        def randrange(self, n):
+            if b.ident is None:
+                b.start()
+            assert b_read.wait(timeout=10)
+            return 0
+
+    def call_b():
+        try:
+            decide(parse("p > q"), Signature.SUCC)
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    switch = Switch()
+    monkeypatch.setattr(tableau, "gc", switch)
+    b = threading.Thread(target=call_b)
+    decide(parse("p > q"), Signature.SUCC, rng=Order())
+    assert switch.on
+    a_done.set()
+    b.join(timeout=10)
+    assert not b.is_alive() and errors == []
+    assert switch.on
 
 
 def test_the_engine_builds_no_reference_cycles(restore_collector):
