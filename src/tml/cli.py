@@ -9,6 +9,7 @@ given as `@path` to read the formula text from a file.
 """
 
 import argparse
+import os
 import sys
 
 from . import nd
@@ -34,6 +35,7 @@ from .syntax import (
     ParseError,
     Signature,
     SignatureError,
+    Var,
     parse,
     render,
     translate,
@@ -126,15 +128,31 @@ def _parse_assignment(text):
         name, value = name.strip(), value.strip()
         if value not in ("0", "n", "b", "1"):
             raise _UsageError(f"bad truth value {value!r}; expected 0, n, b or 1")
+        _check_variable(name, "assignment")
+        if name in model:
+            raise _UsageError(f"assignment gives {name} twice")
         model[name] = value
     return model
+
+
+def _check_variable(name, where):
+    """_UsageError unless a formula can contain name as a variable."""
+    try:
+        Var(name)
+    except ValueError:
+        raise _UsageError(f"bad variable name {name!r} in {where}")
 
 
 def _universe(f, vars_option):
     names = sorted(variables(f))
     if vars_option is None:
         return names
-    pinned = [v.strip() for v in vars_option.split(",") if v.strip()]
+    pinned = []
+    for name in filter(None, (v.strip() for v in vars_option.split(","))):
+        _check_variable(name, "--vars")
+        if name in pinned:
+            raise _UsageError(f"--vars gives {name} twice")
+        pinned.append(name)
     missing = [n for n in names if n not in pinned]
     if missing:
         raise _UsageError(f"--vars must cover {', '.join(missing)}")
@@ -281,42 +299,63 @@ def _cmd_identities(args):
 # --- parser and dispatch -------------------------------------------------------
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's stock formatter, except that it reads the terminal width
+    when it formats help or usage, not when it is built.  argparse builds
+    one per add_argument call only to check the metavar, and the stock
+    formatter reads the width there, which imports shutil (and with it
+    zlib, bz2, lzma and fnmatch) on every start."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=0)  # set for real in format_help
+
+    def format_help(self):
+        stock = argparse.HelpFormatter(self._prog)  # the width argparse reads now
+        self._width, self._max_help_position = stock._width, stock._max_help_position
+        return super().format_help()
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tml",
         description="Tetravalent modal logic: parsing, tables, validity, "
                     "tableaux and natural deduction.",
+        formatter_class=_HelpFormatter,
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    # argparse would format a usage line to compute this prog.
+    subs = parser.add_subparsers(dest="subcommand", required=True, prog="tml")
 
-    sp = subs.add_parser("parse", help="parse a formula and print it back")
+    def add(name, help):
+        return subs.add_parser(name, help=help, formatter_class=_HelpFormatter)
+
+    sp = add("parse", "parse a formula and print it back")
     sp.add_argument("formula")
     sp.set_defaults(func=_cmd_parse)
 
-    sp = subs.add_parser("table", help="print a connective's operation table")
+    sp = add("table", "print a connective's operation table")
     sp.add_argument("connective")
     sp.set_defaults(func=_cmd_table)
 
-    sp = subs.add_parser("eval", help="evaluate a formula")
+    sp = add("eval", "evaluate a formula")
     sp.add_argument("formula")
     sp.add_argument("--assign", help="valuation, e.g. p=n,q=b")
     sp.add_argument("--vars", help="pin and order the variable universe")
     sp.set_defaults(func=_cmd_eval)
 
-    sp = subs.add_parser("valid", help="test validity by brute force")
+    sp = add("valid", "test validity by brute force")
     sp.add_argument("formula")
     sp.set_defaults(func=_cmd_valid)
 
-    sp = subs.add_parser("countermodel", help="find a non-designating valuation")
+    sp = add("countermodel", "find a non-designating valuation")
     sp.add_argument("formula")
     sp.set_defaults(func=_cmd_countermodel)
 
-    sp = subs.add_parser("consequence", help="test semantic consequence")
+    sp = add("consequence", "test semantic consequence")
     sp.add_argument("premises", nargs="*")
     sp.add_argument("--to", required=True, help="conclusion formula")
     sp.set_defaults(func=_cmd_consequence)
 
-    sp = subs.add_parser("prove", help="decide a formula with a signed tableau")
+    sp = add("prove", "decide a formula with a signed tableau")
     sp.add_argument("formula")
     sp.add_argument("--system", choices=["succ", "full"], required=True)
     sp.add_argument("--derived", action="store_true",
@@ -325,22 +364,22 @@ def build_parser():
                     help="print the completed tableau")
     sp.set_defaults(func=_cmd_prove)
 
-    sp = subs.add_parser("translate", help="rewrite a formula into a signature")
+    sp = add("translate", "rewrite a formula into a signature")
     sp.add_argument("formula")
     sp.add_argument("--to", choices=["succ", "full"], required=True)
     sp.set_defaults(func=_cmd_translate)
 
-    sp = subs.add_parser("nd-check", help="check a natural deduction proof")
+    sp = add("nd-check", "check a natural deduction proof")
     sp.add_argument("file", help="proof JSON file, or - for stdin")
     sp.set_defaults(func=_cmd_nd_check)
 
-    sp = subs.add_parser("nd-normalize", help="normalize a natural deduction proof")
+    sp = add("nd-normalize", "normalize a natural deduction proof")
     sp.add_argument("file", help="proof JSON file, or - for stdin")
     sp.add_argument("--trace", action="store_true",
                     help="print each conversion and the measure to stderr")
     sp.set_defaults(func=_cmd_nd_normalize)
 
-    sp = subs.add_parser("identities", help="check the algebra identity suites")
+    sp = add("identities", "check the algebra identity suites")
     sp.set_defaults(func=_cmd_identities)
 
     for sp in subs.choices.values():
@@ -371,8 +410,14 @@ def main(argv=None):
         import json
 
         text = json.dumps({"schema": 1, **obj}, indent=2)
-    print(text)
-    return _VERDICT_EXIT[obj.get("verdict")] if obj.get("all_hold", True) else 1
+    code = _VERDICT_EXIT[obj.get("verdict")] if obj.get("all_hold", True) else 1
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # shutdown does not fail again, and keep the verdict's exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

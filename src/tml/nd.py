@@ -1040,10 +1040,13 @@ def from_json(obj):
         level = [p for node in level if isinstance(node, dict)
                  and isinstance(node.get("premises"), list) for p in node["premises"]]
         depth += 1
-    return _from_json(obj)
+    return _from_json(obj, {})
 
 
-def _from_json(obj):
+def _from_json(obj, parsed):
+    """The proof of obj.  parsed maps each formula text met so far in this
+    from_json call to its formula: a del rule repeats its conclusion in its
+    minor premises, and assumptions recur, so most texts come back."""
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ValueError("proof node must be an object with a 'rule' key")
     rule = obj["rule"]
@@ -1051,9 +1054,9 @@ def _from_json(obj):
         marker = obj.get("marker")
         if marker is not None and not isinstance(marker, str):
             raise ValueError("marker must be a string or null")
-        return Assume(parse(_text(obj, "formula")), marker)
+        return Assume(_parse_once(parsed, _text(obj, "formula")), marker)
     if rule == "MA":
-        return MA(parse(_text(obj, "formula")))
+        return MA(_parse_once(parsed, _text(obj, "formula")))
     if not isinstance(rule, str) or rule not in TAGS:
         raise ValueError(f"unknown rule tag {rule!r}")
     premises = obj.get("premises", [])
@@ -1066,16 +1069,24 @@ def _from_json(obj):
         if not (isinstance(d, dict) and isinstance(d.get("marker"), str)
                 and isinstance(d.get("formula"), str)):
             raise ValueError(f"discharges[{i}] must be an object with string 'marker' and 'formula'")
-    conclusion = parse(_text(obj, "conclusion"))
+    conclusion = _parse_once(parsed, _text(obj, "conclusion"))
     built = []
     for i, p in enumerate(premises):
         try:
-            built.append(_from_json(p))
+            built.append(_from_json(p, parsed))
         except (ValueError, ParseError) as e:
             _locate(e, f"premises[{i}]")
             raise
     return Rule(rule, conclusion, built,
-                tuple((d["marker"], parse(d["formula"])) for d in discharges))
+                tuple((d["marker"], _parse_once(parsed, d["formula"])) for d in discharges))
+
+
+def _parse_once(parsed, text):
+    """parse(text), parsed only the first time this text is met."""
+    f = parsed.get(text)
+    if f is None:
+        f = parsed[text] = parse(text)
+    return f
 
 
 def _locate(error, where):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofgen import random_injected_proof, random_proof
-from tml import nd, tableau
+from tml import cli, nd, tableau
 from tml.cli import main
 from tml.syntax import MAX_DEPTH, parse
 
@@ -117,6 +118,18 @@ def test_eval_vars_pins_order(capsys):
 
 def test_eval_vars_must_cover_formula(capsys):
     run(capsys, "eval", "p & q", "--vars", "p", expect=2)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--assign", "p=1,p=0", "assignment gives p twice"),
+    ("--assign", "p=1,Q=0", "bad variable name 'Q' in assignment"),
+    ("--assign", "p=1,top=0", "bad variable name 'top' in assignment"),
+    ("--vars", "p,Q", "bad variable name 'Q' in --vars"),
+    ("--vars", "p,q,p", "--vars gives p twice"),
+])
+def test_eval_rejects_ambiguous_variables(capsys, option, value, message):
+    _, out, err = run(capsys, "eval", "p", option, value, expect=2)
+    assert (out, err) == ("", message + "\n")
 
 
 # --- valid / countermodel / consequence --------------------------------------------
@@ -560,6 +573,59 @@ def _modules_after(statement):
     done = _fresh_python("-c", f"import sys; {statement}; print(*sys.modules)")
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
+
+
+def test_a_command_skips_shutil():
+    # argparse's stock formatter imports shutil to read the terminal width
+    # each time it is built, also when no help is printed.
+    assert "shutil" not in _modules_after("import tml.cli; tml.cli.main(['parse', 'p'])")
+
+
+def _stock_main(monkeypatch, argv):
+    """main(argv) with argparse's own formatter and subcommand prog."""
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def stock_add_subparsers(self, prog=None, **kwargs):
+        return add_subparsers(self, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        patch.setattr(argparse.ArgumentParser, "add_subparsers", stock_add_subparsers)
+        return main(argv)
+
+
+@pytest.mark.parametrize("columns", ["30", "40", "80", "200"])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["prove", "--help"], ["eval", "--help"], ["prove", "p"], ["nosuch"],
+], ids=" ".join)
+def test_help_and_usage_match_argparse(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = main(argv), capsys.readouterr()
+    stock = _stock_main(monkeypatch, argv), capsys.readouterr()
+    assert ours == stock
+    assert ours[1].out or ours[1].err
+
+
+def _with_closed_stdout(*argv):
+    """Run the CLI with its stdout a pipe whose reader is gone."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-S", "-m", "tml.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": _SRC}, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["valid", "p | ~[]p"], 0),
+    (["valid", "p"], 1),
+    (["table", "succ", "--json"], 0),
+], ids=["valid-holds", "valid-fails", "table-json"])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    done = _with_closed_stdout(*argv)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_importing_the_cli_skips_costly_modules():

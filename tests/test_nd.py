@@ -719,6 +719,46 @@ def test_from_json_locates_a_nested_parse_error():
     assert caught.value.position == 4
 
 
+def _formula_texts(obj):
+    """Every formula text in a proof object, with repeats."""
+    stack, texts = [obj], []
+    while stack:
+        node = stack.pop()
+        texts += [node[k] for k in ("formula", "conclusion") if k in node]
+        texts += [d["formula"] for d in node.get("discharges", [])]
+        stack += node.get("premises", [])
+    return texts
+
+
+def test_from_json_parses_each_text_once(monkeypatch):
+    obj = nd.to_json(random_injected_proof(random.Random(5), fuel=3))
+    texts = _formula_texts(obj)
+    assert len(set(texts)) < len(texts)
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(nd, "parse", counting_parse)
+    proof = nd.from_json(obj)
+    assert sorted(calls) == sorted(set(texts))
+    assert nd.to_json(proof) == obj
+    nd.from_json(obj)  # a second call parses afresh: nothing is cached across calls
+    assert len(calls) == 2 * len(set(texts))
+
+
+def test_from_json_reports_a_repeated_bad_formula_where_it_first_occurs():
+    bad = {"rule": "Assume", "formula": "p &"}
+    obj = {"rule": "AndI", "conclusion": "p & p",
+           "premises": [_P_LEAF, {"rule": "AndE1", "conclusion": "p", "premises": [bad]}, bad]}
+    with pytest.raises(ParseError) as alone:
+        parse("p &")
+    with pytest.raises(ParseError) as caught:
+        nd.from_json(obj)
+    assert str(caught.value) == f"premises[1].premises[0]: {alone.value}"
+
+
 def _rule_depth(proof):
     level, depth = [proof], 0
     while level:
