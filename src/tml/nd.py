@@ -56,7 +56,21 @@ class _Record(Frozen):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return _fields(self) == _fields(other)
+        # Field by field on an explicit stack, descending into records and
+        # tuples, so records of any depth compare.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            kind = type(a)
+            if a is b:
+                continue
+            if kind is tuple and type(b) is tuple and len(a) == len(b):
+                stack += zip(a, b)
+            elif kind is type(b) and issubclass(kind, _Record):
+                stack += zip(_fields(a), _fields(b))
+            elif not a == b:
+                return False
+        return True
 
     def __hash__(self):
         return hash(_fields(self))
@@ -134,9 +148,38 @@ _ALLOWED_FORMULA_TYPES = frozenset([Var, Bot, Neg, And, Or, Box])
 
 
 def conclusion_of(tree):
-    if isinstance(tree, (Assume, MA)):
-        return tree.formula
-    return tree.conclusion
+    return tree.conclusion if type(tree) is Rule else tree.formula
+
+
+# The stack marker of the explicit-stack walks in this module: the entry
+# under it stands for a node whose premises are done.
+_READY = object()
+
+
+def _fold_proof(tree, leaf, rule):
+    """Fold a proof bottom-up, on an explicit stack: leaf(t) for each Assume
+    or MA, rule(t, folded) for each Rule with the tuple of its premises'
+    results.  Each occurrence of a shared subtree is folded again, premises
+    left to right before their rule."""
+    done, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if t is _READY:
+            t = stack.pop()
+            done.append(rule(t, _take(done, len(t.premises))))
+        elif type(t) is Rule:
+            stack += (t, _READY, *reversed(t.premises))
+        else:
+            done.append(leaf(t))
+    return done[0]
+
+
+def _take(done, n):
+    """Remove the last n items of done and return them as a tuple."""
+    first = len(done) - n
+    taken = tuple(done[first:])
+    del done[first:]
+    return taken
 
 
 def _check_language(f, seen):
@@ -262,9 +305,7 @@ def check(proof):
     while stack:
         t, before = stack.pop()
         if before is not None:
-            first = len(results) - len(t.premises)
-            below = results[first:]
-            del results[first:]
+            below = _take(results, len(t.premises))
             _schema_check(t)
             marked = {}
             unmarked = set()
@@ -289,18 +330,18 @@ def check(proof):
             entry = marked, unmarked
             done[id(t)] = entry if len(discharged) == before else before
             results.append(entry)
-        elif isinstance(t, Assume):
+        elif type(t) is Assume:
             _check_language(t.formula, seen)
             if t.marker is None:
                 results.append(({}, {t.formula}))
             else:
                 note_marker(t.marker, t.formula, "assumption leaf")
                 results.append(({t.marker: t.formula}, set()))
-        elif isinstance(t, MA):
+        elif type(t) is MA:
             _check_language(t.formula, seen)
             _expect("MA", "formula", _MA_SHAPE, t.formula, {})
             results.append(({}, set()))
-        elif isinstance(t, Rule):
+        elif type(t) is Rule:
             entry = done.get(id(t))
             if entry is None:
                 _check_language(t.conclusion, seen)
@@ -468,7 +509,7 @@ def _subtrees(tree):
     while stack:
         t = stack.pop()
         yield t
-        if isinstance(t, Rule):
+        if type(t) is Rule:
             stack.extend(t.premises)
 
 
@@ -490,7 +531,7 @@ def analyze(proof):
     pop, push = stack.pop, stack.append
     while stack:
         t, path, below, consumer, index = pop()
-        if isinstance(t, Rule):
+        if type(t) is Rule:
             is_del = t.tag in DEL_TAGS
             for i in reversed(range(len(t.premises))):
                 if is_del and i in (1, 2):
@@ -590,14 +631,14 @@ def _summarize(tree, memo, ranks):
         t = stack.pop()
         if id(t) in memo:
             continue
-        if not isinstance(t, Rule):
+        if type(t) is not Rule:
             memo[id(t)] = _leaf_summary(t)
             continue
         below, missing = [], []
         for p in t.premises:
             s = memo.get(id(p))
             if s is None:
-                if isinstance(p, Rule):
+                if type(p) is Rule:
                     missing.append(p)
                     continue
                 s = memo[id(p)] = _leaf_summary(p)
@@ -637,16 +678,17 @@ def is_normal(proof):
 def all_markers(proof):
     out = set()
     for t in _subtrees(proof):
-        if isinstance(t, Rule):
+        kind = type(t)
+        if kind is Rule:
             out.update(m for m, _ in t.discharges)
-        elif isinstance(t, Assume) and t.marker is not None:
+        elif kind is Assume and t.marker is not None:
             out.add(t.marker)
     return out
 
 
 def _bound_markers(trees):
     """Markers discharged by some application inside the given trees."""
-    return {m for tree in trees for t in _subtrees(tree) if isinstance(t, Rule)
+    return {m for tree in trees for t in _subtrees(tree) if type(t) is Rule
             for m, _ in t.discharges}
 
 
@@ -673,13 +715,10 @@ class _MarkerSupply:
 def _rebuild(tree, leaf, mapping):
     """Copy tree with every Assume leaf t replaced by leaf(t) and every
     discharge marker renamed through mapping."""
-    if isinstance(tree, Assume):
-        return leaf(tree)
-    if isinstance(tree, MA):
-        return tree
-    return Rule(tree.tag, tree.conclusion,
-                tuple(_rebuild(p, leaf, mapping) for p in tree.premises),
-                tuple((mapping.get(m, m), f) for m, f in tree.discharges))
+    def rule(t, premises):
+        return Rule(t.tag, t.conclusion, premises,
+                    tuple((mapping.get(m, m), f) for m, f in t.discharges))
+    return _fold_proof(tree, lambda t: leaf(t) if type(t) is Assume else t, rule)
 
 
 def _rename_markers(tree, mapping):
@@ -709,7 +748,7 @@ def _refresh_unit(trees, discharges, supply):
 
 
 def _assume_sites(tree, marker):
-    return sum(isinstance(t, Assume) and t.marker == marker for t in _subtrees(tree))
+    return sum(type(t) is Assume and t.marker == marker for t in _subtrees(tree))
 
 
 def _substitute(tree, marker, replacement, supply):
@@ -742,9 +781,8 @@ def _node_at(tree, path):
 
 
 def _is_nd_literal(f):
-    if isinstance(f, Var):
-        return True
-    return isinstance(f, Neg) and isinstance(f.body, (Var, Bot))
+    kind = type(f)
+    return kind is Var or kind is Neg and type(f.body) in (Var, Bot)
 
 
 # The introduction rules a bot derivation is pushed through, first match first.
@@ -753,43 +791,58 @@ _BOT_INTROS = ("AndI", "OrI1", "BoxI", "NegAndI1", "NegOrI", "NegNegI", "NegBoxI
 
 def _bot_elim(bot_deriv, target, supply):
     """A derivation of target from the given derivation of bot, where every
-    remaining BotE concludes a literal."""
-    if _is_nd_literal(target):
-        return bot_e(bot_deriv, target)
-    if target == BOT:
-        return bot_deriv
-    for tag in _BOT_INTROS:
-        premises, conclusion, discharges = _SCHEMAS[tag]
-        binding = {}
-        if match(conclusion, target, binding):
-            derivations = [
-                _bot_elim(bot_deriv if i == 0 else _refresh(bot_deriv, supply),
-                          instantiate(p, binding), supply)
-                for i, p in enumerate(premises)
-            ]
+    remaining BotE concludes a literal.  Raises SchemaError, as check does,
+    if target leaves the proof language."""
+    # A goal is a derivation of bot, whether to use a copy of it with fresh
+    # markers (every premise but an introduction's first does), and the
+    # formula to derive.  Goals are met in preorder and introductions built
+    # in postorder, so markers are minted in the order of a recursive descent.
+    done, stack = [], [(bot_deriv, False, target)]
+    while stack:
+        goal = stack.pop()
+        if goal is _READY:
+            tag, binding = stack.pop()
+            premises, _, discharges = _SCHEMAS[tag]
             markers = [supply.fresh() for _ in discharges]
-            return _build(tag, tuple(derivations), markers, **binding)
-    raise InvariantViolation(f"no bot decomposition for {render(target)}")
+            done.append(_build(tag, _take(done, len(premises)), markers, **binding))
+            continue
+        deriv, copy, target = goal
+        deriv = _refresh(deriv, supply) if copy else deriv
+        if _is_nd_literal(target):
+            done.append(bot_e(deriv, target))
+        elif target is BOT:
+            done.append(deriv)
+        else:
+            for tag in _BOT_INTROS:
+                binding = {}
+                if match(_SCHEMAS[tag][1], target, binding):
+                    break
+            else:
+                _check_language(target, set())
+                raise InvariantViolation(f"no bot decomposition for {render(target)}")
+            premises = _SCHEMAS[tag][0]
+            stack += ((tag, binding), _READY)
+            stack += [(deriv, i > 0, instantiate(premises[i], binding))
+                      for i in reversed(range(len(premises)))]
+    return done[0]
 
 
 def atomize_bot(proof):
     """Push every BotE with a compound conclusion through the conclusion's
     structure until all BotE conclusions are literals (p, ~p, or ~bot);
     BotE concluding bot collapses to its own premise.  Subtrees without such
-    a BotE come back as the very same objects."""
+    a BotE come back as the very same objects.  Raises SchemaError if such a
+    conclusion leaves the proof language."""
     supply = _MarkerSupply(proof)
 
-    def go(t):
-        if not isinstance(t, Rule):
-            return t
-        premises = tuple(go(p) for p in t.premises)
+    def rule(t, premises):
         if t.tag == "BotE" and not _is_nd_literal(t.conclusion):
             return _bot_elim(premises[0], t.conclusion, supply)
         if all(map(operator.is_, premises, t.premises)):
             return t
         return Rule(t.tag, t.conclusion, premises, t.discharges)
 
-    return go(proof)
+    return _fold_proof(proof, lambda t: t, rule)
 
 
 # --- conversions and normalization ---------------------------------------------
@@ -798,7 +851,7 @@ def atomize_bot(proof):
 def _resolve_cut(proof, cut, report=None):
     if report is None:
         report = analyze(proof)
-    if isinstance(cut, Segment):
+    if type(cut) is Segment:
         if cut in report.cuts:
             return cut
         raise ValueError(f"segment {cut} is not a cut of this proof")
@@ -1005,28 +1058,34 @@ def builtin_examples():
 
 
 def to_json(proof):
-    if isinstance(proof, Assume):
-        return {"rule": "Assume", "formula": render(proof.formula),
-                "marker": proof.marker}
-    if isinstance(proof, MA):
-        return {"rule": "MA", "formula": render(proof.formula)}
+    return _fold_proof(proof, _leaf_json, _rule_json)
+
+
+def _leaf_json(t):
+    if type(t) is MA:
+        return {"rule": "MA", "formula": render(t.formula)}
+    return {"rule": "Assume", "formula": render(t.formula), "marker": t.marker}
+
+
+def _rule_json(t, premises):
     return {
-        "rule": proof.tag,
-        "conclusion": render(proof.conclusion),
-        "premises": [to_json(p) for p in proof.premises],
-        "discharges": [
-            {"marker": m, "formula": render(f)} for m, f in proof.discharges
-        ],
+        "rule": t.tag,
+        "conclusion": render(t.conclusion),
+        "premises": list(premises),
+        "discharges": [{"marker": m, "formula": render(f)} for m, f in t.discharges],
     }
 
 
 MAX_PROOF_DEPTH = 200
 """Deepest rule nesting from_json() accepts, counted in rules on one path from
-the conclusion to a leaf.  from_json, normalize (through atomize_bot and the
-marker renaming of its conversions) and to_json take up to two of Python's
-default 1000 frames per level; check, analyze and is_normal take none.
+the conclusion to a leaf.  No walk in this module takes a frame per level, so
+a proof built in Python may be as deep as memory allows.  The bound is for
+the JSON around a proof in the CLI: json.loads, which reads it, and
+json.dumps(indent=2), which prints a normal form, take two of Python's
+default 1000 frames per rule (its object and its premises list).
 Normalizing can nearly double the depth (a detour's major side replaces the
-assumption at the bottom of its minor side), which still fits."""
+assumption at the bottom of its minor side), so printing takes up to about
+800."""
 
 
 def from_json(obj):
@@ -1040,45 +1099,57 @@ def from_json(obj):
         level = [p for node in level if isinstance(node, dict)
                  and isinstance(node.get("premises"), list) for p in node["premises"]]
         depth += 1
-    return _from_json(obj, {})
+    return _from_json(obj)
 
 
-def _from_json(obj, parsed):
-    """The proof of obj.  parsed maps each formula text met so far in this
-    from_json call to its formula: a del rule repeats its conclusion in its
-    minor premises, and assumptions recur, so most texts come back."""
-    if not isinstance(obj, dict) or "rule" not in obj:
-        raise ValueError("proof node must be an object with a 'rule' key")
-    rule = obj["rule"]
-    if rule == "Assume":
-        marker = obj.get("marker")
-        if marker is not None and not isinstance(marker, str):
-            raise ValueError("marker must be a string or null")
-        return Assume(_parse_once(parsed, _text(obj, "formula")), marker)
-    if rule == "MA":
-        return MA(_parse_once(parsed, _text(obj, "formula")))
-    if not isinstance(rule, str) or rule not in TAGS:
-        raise ValueError(f"unknown rule tag {rule!r}")
-    premises = obj.get("premises", [])
-    if not isinstance(premises, list):
-        raise ValueError("premises must be a list")
-    discharges = obj.get("discharges", [])
-    if not isinstance(discharges, list):
-        raise ValueError("discharges must be a list")
-    for i, d in enumerate(discharges):
-        if not (isinstance(d, dict) and isinstance(d.get("marker"), str)
-                and isinstance(d.get("formula"), str)):
-            raise ValueError(f"discharges[{i}] must be an object with string 'marker' and 'formula'")
-    conclusion = _parse_once(parsed, _text(obj, "conclusion"))
-    built = []
-    for i, p in enumerate(premises):
-        try:
-            built.append(_from_json(p, parsed))
-        except (ValueError, ParseError) as e:
-            _locate(e, f"premises[{i}]")
-            raise
-    return Rule(rule, conclusion, built,
-                tuple((d["marker"], _parse_once(parsed, d["formula"])) for d in discharges))
+def _from_json(obj):
+    """The proof of obj, built on an explicit stack: a node is checked and its
+    conclusion parsed before its premises, its discharges parsed after them.
+    parsed maps each formula text met so far to its formula: a del rule
+    repeats its conclusion in its minor premises, and assumptions recur, so
+    most texts come back."""
+    parsed, done, stack = {}, [], [obj]
+    try:
+        while stack:
+            obj = stack.pop()
+            if obj is _READY:
+                obj, conclusion = stack.pop()
+                built = _take(done, len(obj.get("premises", ())))
+                done.append(Rule(obj["rule"], conclusion, built, tuple(
+                    (d["marker"], _parse_once(parsed, d["formula"]))
+                    for d in obj.get("discharges", ()))))
+                continue
+            if not isinstance(obj, dict) or "rule" not in obj:
+                raise ValueError("proof node must be an object with a 'rule' key")
+            rule = obj["rule"]
+            if rule == "Assume":
+                marker = obj.get("marker")
+                if marker is not None and not isinstance(marker, str):
+                    raise ValueError("marker must be a string or null")
+                done.append(Assume(_parse_once(parsed, _text(obj, "formula")), marker))
+                continue
+            if rule == "MA":
+                done.append(MA(_parse_once(parsed, _text(obj, "formula"))))
+                continue
+            if not isinstance(rule, str) or rule not in TAGS:
+                raise ValueError(f"unknown rule tag {rule!r}")
+            premises = obj.get("premises", [])
+            if not isinstance(premises, list):
+                raise ValueError("premises must be a list")
+            discharges = obj.get("discharges", [])
+            if not isinstance(discharges, list):
+                raise ValueError("discharges must be a list")
+            for i, d in enumerate(discharges):
+                if not (isinstance(d, dict) and isinstance(d.get("marker"), str)
+                        and isinstance(d.get("formula"), str)):
+                    raise ValueError(
+                        f"discharges[{i}] must be an object with string 'marker' and 'formula'")
+            conclusion = _parse_once(parsed, _text(obj, "conclusion"))
+            stack += ((obj, conclusion), _READY, *reversed(premises))
+    except (ValueError, ParseError) as e:
+        _locate(e, stack)
+        raise
+    return done[0]
 
 
 def _parse_once(parsed, text):
@@ -1089,13 +1160,19 @@ def _parse_once(parsed, text):
     return f
 
 
-def _locate(error, where):
-    """Prefix the message of an error raised for a node below with where the
-    node sits: 'premises[0].premises[1]: <message>'."""
-    path, message = getattr(error, "_json_path", (None, str(error)))
-    path = where if path is None else f"{where}.{path}"
-    error._json_path = path, message
-    error.args = (f"{path}: {message}",)
+def _locate(error, stack):
+    """Prefix the message of an error that _from_json raised for the node it
+    took off stack last with the node's path: 'premises[0].premises[1]:
+    <message>'.  Each ancestor of the node lies on the stack under a _READY
+    marker, and the ancestor's premises still to come lie above the marker."""
+    marks = [k for k, entry in enumerate(stack) if entry is _READY]
+    where = []
+    for k, end in zip(marks, marks[1:] + [len(stack) + 1]):
+        ancestor, _ = stack[k - 1]
+        to_come = end - k - 2  # the entries up to the next ancestor, or the top
+        where.append(f"premises[{len(ancestor['premises']) - 1 - to_come}]")
+    if where:
+        error.args = (f"{'.'.join(where)}: {error}",)
 
 
 def _text(obj, key):

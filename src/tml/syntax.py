@@ -30,13 +30,12 @@ _KEYWORDS = ("bot", "top")
 MAX_DEPTH = 100
 """Deepest nesting parse() accepts.  Each connective and each pair of
 parentheses sits one level above its deepest operand, so a formula text of
-depth d yields a tree of depth at most d.  The bound keeps recursion within
-Python's default limit of 1000 frames.  Per level of the tree, _fold (the
-printer, measures and translations) takes one frame and semantics.evaluate
-two (its dispatch and the table entry); hashing and == take none, since
-formulas are interned.  A translation is deeper than its source: to the succ
-signature each '&' nests its operands four levels down, to the full one each
-'>' six, so folding a translation takes at most 600 frames."""
+depth d yields a tree of depth at most d.  The bound keeps the two walks
+that still recurse within Python's default limit of 1000 frames: the parser
+takes up to five frames per level (a pair of parentheses; a prefix
+connective or '>' takes one), and semantics.evaluate two per level of the
+tree.  Folds (the printer, measures and translations), subformulas, hashing
+and == take none, so they take formulas of any depth, translations too."""
 
 
 class ParseError(Exception):
@@ -219,30 +218,44 @@ def variables(f):
     return frozenset(names)
 
 
-def _fold(f, table, name=None, memo=None):
+# _fold's stack markers: the node under one is a connective of that arity
+# whose operands are folded, and under the node lies its step.
+_UNARY_READY, _BINARY_READY = object(), object()
+
+
+def _fold(f, table, name=None):
     """Fold f bottom-up: table maps a node type to a function of the node (an
     atom) or of its folded operands (a connective).  Each distinct node is
-    folded once per call: memo, which the recursive calls share, holds the
-    results.  A formula type missing from table raises SignatureError naming
-    `name`; a non-formula, TypeError."""
-    kind = type(f)
-    step = table.get(kind)
-    if step is None:
-        if kind in _ATOMS or kind in _UNARY or kind in _BINARY:
-            raise SignatureError(f"{name} is not defined on {render(f)!r}")
-        raise TypeError(f"not a formula: {f!r}")
-    if memo is None:
-        memo = {}
-    folded = memo.get(f, memo)
-    if folded is memo:
-        if kind in _BINARY:
-            folded = step(_fold(f.left, table, name, memo), _fold(f.right, table, name, memo))
-        elif kind in _UNARY:
-            folded = step(_fold(f.body, table, name, memo))
+    folded once per call, its operands left to right before it, on an
+    explicit stack, so any depth folds.  A formula type missing from table
+    raises SignatureError naming `name`, for the first such node in preorder;
+    a non-formula, TypeError."""
+    memo = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is _BINARY_READY:
+            g, step = stack.pop(), stack.pop()
+            memo[g] = step(memo[g.left], memo[g.right])
+        elif g is _UNARY_READY:
+            g, step = stack.pop(), stack.pop()
+            memo[g] = step(memo[g.body])
         else:
-            folded = step(f)
-        memo[f] = folded
-    return folded
+            kind = type(g)
+            step = table.get(kind)
+            if step is None:
+                if kind in _ATOMS or kind in _UNARY or kind in _BINARY:
+                    raise SignatureError(f"{name} is not defined on {render(g)!r}")
+                raise TypeError(f"not a formula: {g!r}")
+            if g in memo:
+                continue
+            if kind in _BINARY:
+                stack += (step, g, _BINARY_READY, g.right, g.left)
+            elif kind in _UNARY:
+                stack += (step, g, _UNARY_READY, g.body)
+            else:
+                memo[g] = step(g)
+    return memo[f]
 
 
 # A pattern is a formula whose variables are metavariables: each stands for
