@@ -40,11 +40,6 @@ def absent():
     return None
 
 
-def lookup(key):
-    """The live node interned under key, or None; builds nothing."""
-    return TABLE.get(key, absent)()
-
-
 def enter(key, node):
     """The live node interned under key if there is one, else node, which
     is entered now."""
@@ -84,8 +79,26 @@ class Frozen:
         return self
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # Written from an explicit stack, so records of any depth print.  An
+        # item is a piece of text or a record or tuple still to be written.
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                pieces.append(item)
+                continue
+            if type(item) is tuple:
+                names, values = [""] * len(item), item
+                tokens, tail = ["("], ",)" if len(item) == 1 else ")"
+            else:
+                names = [f"{name}=" for name in item.__match_args__]
+                values = [getattr(item, name) for name in item.__match_args__]
+                tokens, tail = [f"{type(item).__name__}("], ")"
+            for i, (name, value) in enumerate(zip(names, values)):
+                nested = type(value) is tuple or type(value).__repr__ is Frozen.__repr__
+                tokens += (", " if i else "") + name, value if nested else repr(value)
+            stack += reversed(tokens + [tail])
+        return "".join(pieces)
 
 
 class Interned(Frozen):

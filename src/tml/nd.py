@@ -73,11 +73,42 @@ class _Record(Frozen):
         return True
 
     def __hash__(self):
-        return hash(_fields(self))
+        # hash(_fields(self)), computed bottom-up on an explicit stack so
+        # records of any depth hash: each distinct record or tuple below is
+        # hashed once per call and stands in its parent's tuple as a _Hashed.
+        hashes, stack = {}, [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in hashes:
+                continue
+            parts = node if type(node) is tuple else _fields(node)
+            todo = [p for p in parts if _nests(p) and id(p) not in hashes]
+            if todo:
+                stack += node, *todo
+                continue
+            hashes[id(node)] = hash(tuple(_Hashed(hashes[id(p)]) if _nests(p) else p
+                                          for p in parts))
+        return hashes[id(self)]
 
 
 def _fields(record):
     return tuple(getattr(record, name) for name in record.__match_args__)
+
+
+def _nests(value):
+    return type(value) is tuple or isinstance(value, _Record)
+
+
+class _Hashed:
+    """A stand-in whose hash is a given value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 class Assume(_Record):

@@ -16,7 +16,7 @@ from collections import deque
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
-from .hashcons import TABLE, Interned, absent, enter, lookup
+from .hashcons import TABLE, Interned, absent, enter
 from .semantics import evaluate
 from .syntax import (
     BOT,
@@ -245,51 +245,67 @@ class Node:
 
 
 class Branch:
-    """A branch under construction: the ordered signed formulas on it, plus
-    bookkeeping for which of them still await expansion.  `path` records the
-    alternative indices taken at each split, so sorting branches by path
-    recovers the left-to-right leaf order.  `done` holds the formulas a
-    derived rule has used up; only complete(derived=True) touches it."""
+    """A branch under construction.  Its signed formulas are the `added`
+    lists from `root` to `node`, taking at each split the alternative that
+    `path` records, so sorting branches by path gives the leaf order.
+    `mask` has a bit for each, numbered in `slots`, which all branches of a
+    complete() call share: a clone copies only `pending`, the formulas that
+    await expansion.  `done` masks those a derived rule has used up."""
 
-    __slots__ = ("node", "path", "formulas", "present", "pending", "done", "closed")
+    __slots__ = ("root", "node", "path", "slots", "mask", "pending", "done", "closed")
 
     def __init__(self, node, path=()):
-        self.node = node
+        self.root = self.node = node
         self.path = path
-        self.formulas = []
-        self.present = set()
+        self.slots = {}
+        self.mask = self.done = 0
         self.pending = deque()
-        self.done = set()
         self.closed = False
 
     def clone(self, node, path):
         twin = Branch.__new__(Branch)
-        twin.node = node
-        twin.path = path
-        twin.formulas = self.formulas.copy()
-        twin.present = self.present.copy()
+        twin.root, twin.slots, twin.node, twin.path = self.root, self.slots, node, path
+        twin.mask, twin.done, twin.closed = self.mask, self.done, self.closed
         twin.pending = self.pending.copy()
-        twin.done = self.done.copy()
-        twin.closed = self.closed
         return twin
+
+    @property
+    def formulas(self):
+        """The signed formulas on the branch, in the order they were added."""
+        node, splits = self.root, iter(self.path)
+        formulas = list(node.added)
+        while node is not self.node:
+            children = node.children
+            node = children[0] if len(children) == 1 else children[next(splits)]
+            formulas += node.added
+        return formulas
+
+    present = property(lambda self: set(self.formulas))
+
+    def bit(self, sf):
+        """sf's bit in mask; T(f) and F(f) take neighbouring bits."""
+        pair = self.slots.get(sf.formula)
+        if pair is None:
+            pair = self.slots[sf.formula] = 1 << 2 * len(self.slots)
+        return pair if sf.sign == "T" else pair << 1
 
     def add(self, sf):
         """Record sf once; closes the branch on a sign conflict or an
-        unsatisfiable signed constant.  The complement is looked up by the
-        key sf cached when it was interned, not built: if it was never
-        interned, it is not on the branch."""
-        if sf in self.present or self.closed:
+        unsatisfiable signed constant.  A conflict looks the complement up,
+        by the key sf cached when it was interned, to fill closed_by."""
+        if self.closed:
             return
-        self.present.add(sf)
-        self.formulas.append(sf)
+        bit = self.bit(sf)
+        mask = self.mask
+        if mask & bit:
+            return
+        self.mask = mask | bit
         self.node.added.append(sf)
         kind = sf._kind
         if kind is _CLOSES:
             self._close(sf, None)
-            return
-        complement = TABLE.get(sf._complement_key, absent)()
-        if complement in self.present:
-            self._close(sf, complement)
+        elif mask & (bit >> 1 if sf.sign == "F" else bit << 1):
+            self._close(sf, TABLE.get(sf._complement_key, absent)())
         elif kind is _EXPANDS:
             self.pending.append(sf)
 
@@ -379,7 +395,7 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
                 sf = branch.pending.popleft()
                 branch.pending.rotate(index)
             if derived:
-                if sf in branch.done:
+                if branch.done & branch.bit(sf):
                     continue
                 alternatives, label = _pick_rule(sf, branch, system, expansions)
             else:
@@ -416,7 +432,6 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
         finished.append(branch)
         if stop_on_open and not branch.closed:
             break
-    finished.sort(key=lambda b: b.path)
     return Tableau(root, finished, system)
 
 
@@ -441,13 +456,14 @@ def _pick_rule(sf, branch, system, expansions):
     partner = system is Signature.SUCC and _PARTNER.get(_shape(sf.formula))
     if partner:
         g = partner(sf.formula)
-        for sign in ("T", "F"):
-            cand = lookup(_key(sign, g))
-            if cand in branch.present and cand not in branch.done:
-                branch.done.update((sf, cand))
+        pair = branch.slots.get(g, 0)
+        for sign, bit in (("T", pair), ("F", pair << 1)):
+            if branch.mask & bit and not branch.done & bit:
+                cand = SignedFormula(sign, g)
+                branch.done |= bit | branch.bit(sf)
                 label = f"{_rule(sf, system)[0]}+{_rule(cand, system)[0]}"
                 return expand_derived(sf, cand), label
-    branch.done.add(sf)
+    branch.done |= branch.bit(sf)
     return expansions[sf]
 
 

@@ -477,7 +477,7 @@ _FORMULAS = st.one_of(
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(
-        ["parse", "eval", "valid", "countermodel", "consequence", "translate"]))
+        ["parse", "eval", "valid", "countermodel", "consequence", "translate", "prove"]))
     argv = [command]
     if command == "consequence":
         argv += draw(st.lists(_FORMULAS, max_size=2)) + ["--to"]
@@ -489,6 +489,9 @@ def _argv(draw):
         ]))
     if command == "translate":
         argv += ["--to", draw(st.sampled_from(["succ", "full", "none"]))]
+    if command == "prove":
+        argv += ["--system", draw(st.sampled_from(["succ", "full"]))]
+        argv += [flag for flag in ("--derived", "--emit-tableau") if draw(st.booleans())]
     if draw(st.booleans()):
         argv.append("--json")
     return argv

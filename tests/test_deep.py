@@ -1,6 +1,7 @@
 """Every walk over formulas and proofs takes inputs of any depth: each test
 runs with the interpreter's frame limit a hundred frames above the test's
-own depth, and pushes a 10,000-deep chain through one walk."""
+own depth, and pushes a 10,000-deep chain through one walk (or, for hash, a
+proof that shares its subproofs)."""
 
 import contextlib
 import sys
@@ -168,6 +169,34 @@ def test_normal_forms_at_the_depth_bound_compare():
     with few_frames():
         equal = first == second
     assert first is not second and equal
+
+
+def test_hash_and_repr_of_a_deep_proof():
+    # Formulas hash by identity, so both copies are alive at once.
+    proofs = or_e_chain(nd.assume(P), "x"), or_e_chain(nd.assume(P), "x")
+    with few_frames():
+        hashes = [hash(proof) for proof in proofs]
+        text = repr(proofs[0])
+    assert hashes[0] == hashes[1]
+    assert text.count("Rule(tag='OrE', ") == DEPTH
+    ok = text.endswith("marker='x9999')), discharges=(('x-vacuous9999', Var(name='p')), "
+                       "('x9999', Var(name='p'))))")
+    assert ok
+
+
+def test_hash_of_a_shared_proof():
+    # Each level uses the one below twice, so the proof has 2**40 paths but
+    # 80 distinct records; each is hashed once.
+    def proof(leaf):
+        d = nd.assume(leaf)
+        for _ in range(40):
+            d = nd.and_e1(nd.and_i(d, d))
+        return d
+
+    proofs = proof(P), proof(P), proof(Q)
+    with few_frames():
+        first, again, other = map(hash, proofs)
+    assert first == again != other
 
 
 @pytest.mark.parametrize("text", ["top", "p > q", "<>p", "~(p > q) & q", "p & ~top"])

@@ -182,7 +182,7 @@ def test_cut_ranks_keep_no_formula_alive():
     box_a = Box(a)
     key = (And, id(box_a), id(a))
     proof = nd.and_e1(nd.and_i(nd.Assume(box_a), nd.Assume(a)))
-    assert hashcons.lookup(key) is nd.analyze(proof).cuts[0].formula
+    assert hashcons.TABLE[key]() is nd.analyze(proof).cuts[0].formula
     assert nd.normalize(proof) == nd.Assume(box_a)
     del proof
     gc.collect()

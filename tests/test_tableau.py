@@ -379,8 +379,7 @@ def test_extraction_refuses_closed_branch():
 def test_extraction_flags_impossible_constraints():
     # An engine bug would be needed to produce this state, so build it by
     # hand: the three literals force disjoint value sets.
-    branch = Branch(Node(added=[]))
-    branch.formulas = [T(P), F(Neg(P)), T(Neg(P))]
+    branch = Branch(Node(added=[T(P), F(Neg(P)), T(Neg(P))]))
     with pytest.raises(InvariantViolation):
         extract_model(branch)
 
@@ -662,21 +661,32 @@ def _leaf_walk(root, branch):
 def test_finished_branches_match_the_tree(system, derived, ordered):
     rng = random.Random(f"{system.value}-{derived}-{ordered}")
     ops = "succ" if system is Signature.SUCC else "full"
+    probe = T(Neg(Neg(Var("sibling_probe"))))
     for i in range(60):
         f = random_formula(rng, names=("p", "q", "r"), depth=4, ops=ops)
         order = random.Random(i) if ordered else None
         tab = complete([F(translate(f, system))], system, derived=derived, rng=order)
-        seen = {"formulas": set(), "present": set(), "pending": set()}
+        pending = set()
         for branch in tab.branches:
             nodes = _leaf_walk(tab.root, branch)
             assert branch.node is nodes[-1]
             assert branch.formulas == [sf for node in nodes for sf in node.added]
             assert branch.present == set(branch.formulas)
             assert branch.closed == nodes[-1].closed
-            for name, ids in seen.items():
-                container = getattr(branch, name)
-                assert id(container) not in ids, (render(f), name)
-                ids.add(id(container))
+            assert id(branch.pending) not in pending, render(f)
+            pending.add(id(branch.pending))
+        # Branches finish leftmost-first: their paths strictly increase.
+        paths = [branch.path for branch in tab.branches]
+        assert all(a < b for a, b in zip(paths, paths[1:])), render(f)
+        # Siblings are independent: a formula added to one branch shows on
+        # that branch only.
+        before = [(b.mask, list(b.pending), b.formulas) for b in tab.branches]
+        for branch in tab.branches:
+            branch.add(probe)
+        for branch, (mask, queue, formulas) in zip(tab.branches, before):
+            extra = [] if branch.closed else [probe]
+            assert branch.mask == mask | (branch.bit(probe) if extra else 0)
+            assert (list(branch.pending), branch.formulas) == (queue + extra, formulas + extra)
 
 
 def test_adding_a_formula_interns_no_complement(monkeypatch):
