@@ -59,6 +59,17 @@ def _read_file(path):
         raise _UsageError(f"cannot read {path}: {e}")
 
 
+def _read_stdin():
+    """Standard input, read as UTF-8 as _read_file reads a file, whatever
+    encoding the interpreter gave sys.stdin."""
+    if sys.stdin is None:  # the process started with descriptor 0 closed
+        raise _UsageError("cannot read -: no standard input")
+    try:
+        return sys.stdin.buffer.read().decode("utf-8")
+    except (OSError, ValueError) as e:  # unreadable, or text that is not UTF-8
+        raise _UsageError(f"cannot read -: {e}")
+
+
 def _read_formula_arg(text):
     if text.startswith("@"):
         text = _read_file(text[1:]).strip()
@@ -232,10 +243,7 @@ def _cmd_translate(args):
 def _load_proof(path):
     import json  # here and below, not at the top: only some commands read or write JSON
 
-    try:
-        data = sys.stdin.read() if path == "-" else _read_file(path)
-    except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e.strerror}")
+    data = _read_stdin() if path == "-" else _read_file(path)
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
@@ -272,8 +280,7 @@ def _cmd_nd_normalize(args):
     observer = None
     if args.trace:
         def observer(event):
-            what = event["formula"] or ""
-            label = f" {what}" if what else ""
+            label = f" {event['formula']}" if event["formula"] else ""
             print(f"step {event['step']}: {event['kind']}{label} "
                   f"measure={event['measure']}", file=sys.stderr)
     result = nd.to_json(nd.normalize(proof, observer=observer))

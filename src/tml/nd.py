@@ -49,9 +49,23 @@ class DischargeError(ValueError):
 class _Record(Frozen):
     """A frozen record that is not interned: == holds between two records of
     one exact type with equal fields, and the hash is that of the field
-    tuple.  Each subclass sets its slots in its own __init__."""
+    tuple.  Each subclass gets a generated __init__."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, defaults={}, tuples=()):
+        # An __init__ that takes the fields in __match_args__ order, with the
+        # given defaults, and stores those named in tuples as tuples.  It is
+        # compiled once, as dataclasses does, and calls each field's slot
+        # setter, a global of its code, bypassing the read-only __setattr__.
+        names = cls.__match_args__
+        scope = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+        scope.update(__name__=cls.__module__, defaults=defaults)
+        params = ", ".join(f"{n}=defaults[{n!r}]" if n in defaults else n for n in names)
+        body = "".join(f"\n    set_{n}(self, {f'tuple({n})' if n in tuples else n})" for n in names)
+        exec(f"def __init__(self, {params}):{body}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -111,12 +125,8 @@ class _Hashed:
         return self.value
 
 
-class Assume(_Record):
+class Assume(_Record, defaults={"marker": None}):
     __slots__ = __match_args__ = ("formula", "marker")
-
-    def __init__(self, formula, marker=None):
-        _SET_ASSUME_FORMULA(self, formula)
-        _SET_ASSUME_MARKER(self, marker)
 
 
 class MA(_Record):
@@ -124,38 +134,13 @@ class MA(_Record):
 
     __slots__ = __match_args__ = ("formula",)
 
-    def __init__(self, formula):
-        _SET_MA_FORMULA(self, formula)
 
-
-class Rule(_Record):
+class Rule(_Record, defaults={"discharges": ()}, tuples=("premises", "discharges")):
     __slots__ = __match_args__ = ("tag", "conclusion", "premises", "discharges")
-
-    def __init__(self, tag, conclusion, premises, discharges=()):
-        _SET_RULE_TAG(self, tag)
-        _SET_RULE_CONCLUSION(self, conclusion)
-        _SET_RULE_PREMISES(self, tuple(premises))
-        _SET_RULE_DISCHARGES(self, tuple(discharges))
 
 
 class Judgement(_Record):
     __slots__ = __match_args__ = ("open_assumptions", "conclusion")
-
-    def __init__(self, open_assumptions, conclusion):
-        _SET_JUDGEMENT_OPEN(self, open_assumptions)
-        _SET_JUDGEMENT_CONCLUSION(self, conclusion)
-
-
-# Slot setters, bypassing the __setattr__ that makes record fields read-only.
-_SET_ASSUME_FORMULA = Assume.formula.__set__
-_SET_ASSUME_MARKER = Assume.marker.__set__
-_SET_MA_FORMULA = MA.formula.__set__
-_SET_RULE_TAG = Rule.tag.__set__
-_SET_RULE_CONCLUSION = Rule.conclusion.__set__
-_SET_RULE_PREMISES = Rule.premises.__set__
-_SET_RULE_DISCHARGES = Rule.discharges.__set__
-_SET_JUDGEMENT_OPEN = Judgement.open_assumptions.__set__
-_SET_JUDGEMENT_CONCLUSION = Judgement.conclusion.__set__
 
 
 I_TAGS = frozenset(
@@ -507,10 +492,6 @@ class Segment(_Record):
 
     __slots__ = __match_args__ = ("formula", "positions")
 
-    def __init__(self, formula, positions):
-        _SET_SEGMENT_FORMULA(self, formula)
-        _SET_SEGMENT_POSITIONS(self, positions)
-
     @property
     def length(self):
         return len(self.positions)
@@ -518,20 +499,6 @@ class Segment(_Record):
 
 class CutReport(_Record):
     __slots__ = __match_args__ = ("segments", "cuts", "cutrank", "critical")
-
-    def __init__(self, segments, cuts, cutrank, critical):
-        _SET_REPORT_SEGMENTS(self, segments)
-        _SET_REPORT_CUTS(self, cuts)
-        _SET_REPORT_CUTRANK(self, cutrank)
-        _SET_REPORT_CRITICAL(self, critical)
-
-
-_SET_SEGMENT_FORMULA = Segment.formula.__set__
-_SET_SEGMENT_POSITIONS = Segment.positions.__set__
-_SET_REPORT_SEGMENTS = CutReport.segments.__set__
-_SET_REPORT_CUTS = CutReport.cuts.__set__
-_SET_REPORT_CUTRANK = CutReport.cutrank.__set__
-_SET_REPORT_CRITICAL = CutReport.critical.__set__
 
 
 def _subtrees(tree):
@@ -941,11 +908,9 @@ def _convert(proof, seg, supply):
         if key in _DETOUR_PROJECT:
             replacement = intro.premises[_DETOUR_PROJECT[key]]
         elif key in _DETOUR_MINOR:
-            minor_index = _DETOUR_MINOR[key]
-            marker = consumer.discharges[minor_index - 1][0]
-            replacement = _substitute(
-                consumer.premises[minor_index], marker, intro.premises[0], supply
-            )
+            i = _DETOUR_MINOR[key]
+            replacement = _substitute(consumer.premises[i], consumer.discharges[i - 1][0],
+                                      intro.premises[0], supply)
         else:
             raise InvariantViolation(f"no detour for {key}")
         return _replace_at(proof, consumer_path, replacement), kind
@@ -955,27 +920,14 @@ def _convert(proof, seg, supply):
         return _replace_at(proof, final_path, final.premises[minor]), kind
     consumer_path = final_path[:-1]
     consumer = _node_at(proof, consumer_path)
-    rest = consumer.premises[1:]
-    unit1_trees, unit1_discharges = rest, consumer.discharges
-    unit2_trees, unit2_discharges = _refresh_unit(rest, consumer.discharges, supply)
-    pushed1 = Rule(
-        consumer.tag,
-        consumer.conclusion,
-        (final.premises[1],) + tuple(unit1_trees),
-        unit1_discharges,
-    )
-    pushed2 = Rule(
-        consumer.tag,
-        consumer.conclusion,
-        (final.premises[2],) + tuple(unit2_trees),
-        unit2_discharges,
-    )
-    replacement = Rule(
-        final.tag,
-        consumer.conclusion,
-        (final.premises[0], pushed1, pushed2),
-        final.discharges,
-    )
+    # Each minor premise of final takes the consumer's other premises and
+    # discharges: the first the originals, the second a renamed copy.
+    units = ((consumer.premises[1:], consumer.discharges),
+             _refresh_unit(consumer.premises[1:], consumer.discharges, supply))
+    pushed = tuple(Rule(consumer.tag, consumer.conclusion, (minor, *trees), discharges)
+                   for minor, (trees, discharges) in zip(final.premises[1:], units))
+    replacement = Rule(final.tag, consumer.conclusion, (final.premises[0], *pushed),
+                       final.discharges)
     return _replace_at(proof, consumer_path, replacement), kind
 
 

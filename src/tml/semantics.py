@@ -123,10 +123,6 @@ def conjugate(h):
     return {name: CONJUGATE[v] for name, v in h.items()}
 
 
-def format_valuation(h):
-    return ", ".join(f"{name}={h[name]}" for name in sorted(h))
-
-
 def truth_table(f, names=None):
     """Rows (valuation, value) over the given variable universe (default: the
     variables of f)."""

@@ -369,6 +369,10 @@ def _too_deep(pos):
     raise ParseError(f"formula nested deeper than {MAX_DEPTH}", pos)
 
 
+# The binary operators that chain, loosest first, with their node types.
+_CHAINS = (("|", Or), ("&", And))
+
+
 class _Parser:
     """Recursive descent.  Each method returns (formula, depth of its text)."""
 
@@ -405,7 +409,7 @@ class _Parser:
     # and '|' chains are parsed iteratively but nest all the same.
 
     def formula(self):
-        first = self.disjunction()
+        first = self.chain()
         if self.peek() != ">":
             return first
         left, d = first
@@ -417,32 +421,21 @@ class _Parser:
             _too_deep(pos)
         return Succ(left, right), d
 
-    def disjunction(self):
-        first = self.conjunction()
-        if self.peek() != "|":
+    def chain(self, level=0):
+        """A '|' chain of '&' chains (level 0) or an '&' chain of unary
+        formulas (level 1), nested to the left."""
+        first = self.unary() if level else self.chain(1)
+        op, node = _CHAINS[level]
+        if self.peek() != op:
             return first
         f, d = first
-        while self.peek() == "|":
+        while self.peek() == op:
             pos = self.next()[1]
-            g, e = self.conjunction()
+            g, e = self.unary() if level else self.chain(1)
             d = (d if d > e else e) + 1
             if d > MAX_DEPTH:
                 _too_deep(pos)
-            f = Or(f, g)
-        return f, d
-
-    def conjunction(self):
-        first = self.unary()
-        if self.peek() != "&":
-            return first
-        f, d = first
-        while self.peek() == "&":
-            pos = self.next()[1]
-            g, e = self.unary()
-            d = (d if d > e else e) + 1
-            if d > MAX_DEPTH:
-                _too_deep(pos)
-            f = And(f, g)
+            f = node(f, g)
         return f, d
 
     def unary(self):

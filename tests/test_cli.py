@@ -301,6 +301,30 @@ def test_nd_check_missing_file(capsys):
     run(capsys, "nd-check", "/no/such/proof.json", expect=2)
 
 
+def stdin_of(data):
+    """A stand-in for sys.stdin holding data, decoded as utf-8 like a
+    process started with PYTHONIOENCODING=utf-8."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["nd-check", "nd-normalize"])
+def test_proof_from_stdin_reads_as_from_a_file(capsys, monkeypatch, lem_i_file, command):
+    from_file = run(capsys, command, lem_i_file, expect=0)
+    monkeypatch.setattr(sys, "stdin", stdin_of(pathlib.Path(lem_i_file).read_bytes()))
+    assert run(capsys, command, "-", expect=0) == from_file
+
+
+@pytest.mark.parametrize("command", ["nd-check", "nd-normalize"])
+@pytest.mark.parametrize("stdin, message", [
+    (None, "cannot read -: no standard input\n"),
+    (b"\xff", "cannot read -: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n"),
+], ids=["closed", "not-utf-8"])
+def test_unreadable_stdin_is_a_usage_error(capsys, monkeypatch, command, stdin, message):
+    monkeypatch.setattr(sys, "stdin", stdin if stdin is None else stdin_of(stdin))
+    assert run(capsys, command, "-", expect=2) == (2, "", message)
+
+
 def test_nd_normalize_detour(capsys, tmp_path):
     proof = nd.and_e1(nd.and_i(nd.Assume(parse("p")), nd.Assume(parse("q"))))
     path = tmp_path / "detour.json"

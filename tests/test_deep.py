@@ -1,7 +1,9 @@
 """Every walk over formulas and proofs takes inputs of any depth: each test
 runs with the interpreter's frame limit a hundred frames above the test's
 own depth, and pushes a 10,000-deep chain through one walk (or, for hash, a
-proof that shares its subproofs)."""
+proof that shares its subproofs).  The two walks that still recurse, the
+parser and semantics.evaluate, are held to the frames per level that
+MAX_DEPTH's docstring allows them."""
 
 import contextlib
 import sys
@@ -9,9 +11,13 @@ import sys
 import pytest
 
 from tml import nd
+from tml.algebra import VALUES
+from tml.semantics import evaluate
 from tml.syntax import (
     BOT,
+    MAX_DEPTH,
     And,
+    Box,
     Neg,
     Or,
     Signature,
@@ -32,13 +38,14 @@ P, Q = Var("p"), Var("q")
 
 
 @contextlib.contextmanager
-def few_frames():
-    """Frame limit 100 above the caller's depth, restored on exit."""
+def few_frames(frames=100):
+    """Frame limit the given number of frames above the caller's depth,
+    restored on exit."""
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 100)
+    sys.setrecursionlimit(depth + frames)
     try:
         yield
     finally:
@@ -54,6 +61,24 @@ def and_chain(atom):
 
 # Asserts compare counts and flags only: a failing assert would print the
 # operands, and their reprs recurse.
+
+
+def test_recursive_walks_keep_their_frame_budget():
+    # The parser takes five frames per pair of parentheses and one per
+    # prefix connective or '>', evaluate two per level; 20 frames of slack
+    # cover the calls outside that recursion.  One more frame per level
+    # would need another MAX_DEPTH.
+    texts = ["(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, "~" * MAX_DEPTH + "p",
+             " > ".join(["p"] * (MAX_DEPTH + 1))]
+    with few_frames(5 * MAX_DEPTH + 20):
+        parsed = [parse(text) for text in texts]
+    assert [render(f) for f in parsed] == ["p", *texts[1:]]
+    f = P
+    for i in range(MAX_DEPTH):
+        f = (Neg(f), Box(f), And(Q, f))[i % 3]
+    with few_frames(2 * MAX_DEPTH + 20):
+        value = evaluate(f, {"p": "b", "q": "1"})
+    assert value in VALUES
 
 
 def test_render_and_measures():

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 
@@ -25,6 +26,40 @@ Q = Var("q")
 def judgement(proof):
     j = nd.check(proof)
     return sorted(render(f) for f in j.open_assumptions), render(j.conclusion)
+
+
+# --- record constructors ---------------------------------------------------
+
+
+# Each record with its constructor's signature and the end of the TypeError
+# a call with no arguments raises.
+RECORD_CONSTRUCTORS = [
+    (nd.Assume, "(formula, marker=None)", "1 required positional argument: 'formula'"),
+    (nd.MA, "(formula)", "1 required positional argument: 'formula'"),
+    (nd.Rule, "(tag, conclusion, premises, discharges=())",
+     "3 required positional arguments: 'tag', 'conclusion', and 'premises'"),
+    (nd.Judgement, "(open_assumptions, conclusion)",
+     "2 required positional arguments: 'open_assumptions' and 'conclusion'"),
+    (nd.Segment, "(formula, positions)",
+     "2 required positional arguments: 'formula' and 'positions'"),
+    (nd.CutReport, "(segments, cuts, cutrank, critical)",
+     "4 required positional arguments: 'segments', 'cuts', 'cutrank', and 'critical'"),
+]
+
+
+@pytest.mark.parametrize("record, signature, missing", RECORD_CONSTRUCTORS,
+                         ids=[record.__name__ for record, _, _ in RECORD_CONSTRUCTORS])
+def test_record_constructors_take_their_fields_in_order(record, signature, missing):
+    assert str(inspect.signature(record)) == signature
+    with pytest.raises(TypeError) as raised:
+        record()
+    assert str(raised.value) == f"{record.__name__}.__init__() missing {missing}"
+
+
+def test_rule_keeps_premises_and_discharges_as_tuples():
+    rule = nd.Rule("OrE", P, [nd.Assume(P)], [("u", P)])
+    assert rule.premises == (nd.Assume(P),) and rule.discharges == (("u", P),)
+    assert nd.Rule("AndI", P, iter([])).discharges == ()
 
 
 # --- checking: leaves and simple pins ---------------------------------------

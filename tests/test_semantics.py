@@ -12,7 +12,6 @@ from tml.semantics import (
     consequence_countermodel,
     countermodel,
     evaluate,
-    format_valuation,
     truth_table,
     valid,
     valuations,
@@ -178,10 +177,6 @@ def test_truth_table():
     assert len(pinned) == 16
     with_extra = truth_table(parse("p"), names=("z",))
     assert all("z" in h and "p" in h for h, _ in with_extra)
-
-
-def test_format_valuation():
-    assert format_valuation({"q": "b", "p": "n"}) == "p=n, q=b"
 
 
 def test_premise_order_and_multiplicity_do_not_matter():
