@@ -171,6 +171,8 @@ def _universe(f, vars_option):
 
 
 def _cmd_eval(args):
+    if args.assign is not None and args.vars is not None:
+        raise _UsageError("give --assign or --vars, not both")
     f = _read_formula_arg(args.formula)
     if args.assign is not None:
         model = _parse_assignment(args.assign)

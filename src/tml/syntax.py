@@ -30,12 +30,12 @@ _KEYWORDS = ("bot", "top")
 MAX_DEPTH = 100
 """Deepest nesting parse() accepts.  Each connective and each pair of
 parentheses sits one level above its deepest operand, so a formula text of
-depth d yields a tree of depth at most d.  The bound keeps the two walks
-that still recurse within Python's default limit of 1000 frames: the parser
-takes up to five frames per level (a pair of parentheses; a prefix
-connective or '>' takes one), and semantics.evaluate two per level of the
-tree.  Folds (the printer, measures and translations), subformulas, hashing
-and == take none, so they take formulas of any depth, translations too."""
+depth d yields a tree of depth at most d.  parse() itself takes no frame
+per level; the bound protects semantics.evaluate, the one walk that still
+recurses, two frames per level of the tree, within Python's default limit
+of 1000 frames.  Folds (the printer, measures and translations),
+subformulas, hashing and == take no frame per level either, so they take
+formulas of any depth, translations too."""
 
 
 class ParseError(Exception):
@@ -362,156 +362,148 @@ def _lex(text):
 _ATOM_STARTERS = ("~", "[]", "<>", "(", "bot", "top", "ident")
 
 
-_UNARY_TYPES = {SYMBOLS[kind]: kind for kind in _UNARY}
+# --- precedence ------------------------------------------------------------
+#
+# How tightly each node type binds, and the side each connective groups to,
+# for parse and render alike.  An operand must bind at least as tightly as
+# the floor of its place, or it needs parentheses: a connective's floor is
+# its own binding power on the side it groups to and one more on the other.
+
+_BINDING = {
+    Succ: (1, "right"),
+    Or: (2, "left"),
+    And: (3, "left"),
+    **dict.fromkeys(_UNARY, (4, "right")),
+    **dict.fromkeys(_ATOMS, (5, None)),
+}
+
+
+def _floors(kind):
+    """kind's binding power and the floors of its left and right operands."""
+    power, side = _BINDING[kind]
+    return power, power + (side != "left"), power + (side != "right")
+
+
+# --- parsing ---------------------------------------------------------------
+#
+# parse's view of _BINDING: the power of each operator it keeps open, and for
+# an infix token the floor of its left operand, which decides how many open
+# operators it closes.  '(' binds nothing, so only ')' closes it; any token
+# that cannot follow an operand closes everything up to the innermost '('.
+
+_PREFIX = {**{SYMBOLS[kind]: (_BINDING[kind][0], kind) for kind in _UNARY}, "(": (0, None)}
+_INFIX = {SYMBOLS[kind]: (*_floors(kind)[:2], kind) for kind in _BINARY}
+_NOT_INFIX = (None, 1, None)
 
 
 def _too_deep(pos):
     raise ParseError(f"formula nested deeper than {MAX_DEPTH}", pos)
 
 
-# The binary operators that chain, loosest first, with their node types.
-_CHAINS = (("|", Or), ("&", And))
-
-
-class _Parser:
-    """Recursive descent.  Each method returns (formula, depth of its text)."""
-
-    def __init__(self, text):
-        self.tokens = _lex(text)
-        self.i = 0
-        self.level = 0  # open '(', unary and '>' right-operand contexts
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected):
-        kind, pos, text = self.tokens[self.i]
-        shown = "end of input" if kind == "end" else repr(text or kind)
-        raise ParseError(f"unexpected {shown}", pos, expected)
-
-    def enter(self):
-        """Consume a token whose operand the parser descends into and return
-        its position.  Checked before descending, so deep input cannot
-        exhaust the recursion of the parser itself."""
-        pos = self.tokens[self.i][1]
-        self.i += 1
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            _too_deep(pos)
-        return pos
-
-    # Depths are also checked bottom-up, after each node is built: long '&'
-    # and '|' chains are parsed iteratively but nest all the same.
-
-    def formula(self):
-        first = self.chain()
-        if self.peek() != ">":
-            return first
-        left, d = first
-        pos = self.enter()
-        right, e = self.formula()
-        self.level -= 1
-        d = (d if d > e else e) + 1
-        if d > MAX_DEPTH:
-            _too_deep(pos)
-        return Succ(left, right), d
-
-    def chain(self, level=0):
-        """A '|' chain of '&' chains (level 0) or an '&' chain of unary
-        formulas (level 1), nested to the left."""
-        first = self.unary() if level else self.chain(1)
-        op, node = _CHAINS[level]
-        if self.peek() != op:
-            return first
-        f, d = first
-        while self.peek() == op:
-            pos = self.next()[1]
-            g, e = self.unary() if level else self.chain(1)
-            d = (d if d > e else e) + 1
-            if d > MAX_DEPTH:
-                _too_deep(pos)
-            f = node(f, g)
-        return f, d
-
-    def unary(self):
-        kind = self.peek()
-        if kind not in _UNARY_TYPES:
-            return self.atom()
-        pos = self.enter()
-        body, d = self.unary()
-        self.level -= 1
-        if d >= MAX_DEPTH:
-            _too_deep(pos)
-        return _UNARY_TYPES[kind](body), d + 1
-
-    def atom(self):
-        kind, pos, text = self.tokens[self.i]
-        if kind == "bot":
-            self.next()
-            return BOT, 0
-        if kind == "top":
-            self.next()
-            return TOP, 0
-        if kind == "ident":
-            self.next()
-            return Var(text), 0
-        if kind == "(":
-            pos = self.enter()
-            f, d = self.formula()
-            if self.peek() != ")":
-                self.fail((")",))
-            self.next()
-            self.level -= 1
-            if d >= MAX_DEPTH:
-                _too_deep(pos)
-            return f, d + 1
-        self.fail(_ATOM_STARTERS)
+def _unexpected(token, expected):
+    kind, pos, word = token
+    shown = "end of input" if kind == "end" else repr(word or kind)
+    raise ParseError(f"unexpected {shown}", pos, expected)
 
 
 def parse(text):
     """Parse concrete syntax into a Formula.  Raises ParseError, also for
-    formulas nested deeper than MAX_DEPTH."""
-    p = _Parser(text)
-    f, _ = p.formula()
-    if p.peek() != "end":
-        p.fail(("&", "|", ">", "end"))
-    return f
+    formulas nested deeper than MAX_DEPTH.
+
+    One loop over the tokens, with no recursion: an operator waits on a
+    stack until the token after its last operand shows that nothing binds
+    that operand more tightly.  Depth is checked top-down, as each '(',
+    prefix connective and '>' opens (they group to the right), and
+    bottom-up, as each node is built, which catches long '&' and '|'
+    chains.  So the first error reported is the one a recursive descent
+    would meet."""
+    tokens = _lex(text)
+    # Open operators, innermost last: (power, node type, position, left
+    # operand, its depth, level outside it).
+    ops = []
+    level = 0  # how many of ops group to the right
+    i = 0
+    while True:
+        kind, pos, word = tokens[i]
+        i += 1
+        if kind in _PREFIX:
+            level += 1
+            if level > MAX_DEPTH:
+                _too_deep(pos)
+            ops.append((*_PREFIX[kind], pos, None, 0, level - 1))
+            continue
+        if kind == "ident":
+            f = Var(word)
+        elif kind == "bot":
+            f = BOT
+        elif kind == "top":
+            f = TOP
+        else:
+            _unexpected(tokens[i - 1], _ATOM_STARTERS)
+        d = 0
+        while True:  # f, of depth d, is an operand; tokens[i] follows it
+            kind, pos, word = tokens[i]
+            i += 1
+            power, floor, node = _INFIX.get(kind, _NOT_INFIX)
+            while ops and ops[-1][0] >= floor:
+                _, op, at, left, e, level = ops.pop()
+                if left is None:
+                    f = op(f)
+                else:
+                    f = op(left, f)
+                    if e > d:
+                        d = e
+                d += 1
+                if d > MAX_DEPTH:
+                    _too_deep(at)
+            if node is not None:
+                ops.append((power, node, pos, f, d, level))
+                if floor > power:  # groups to the right
+                    level += 1
+                    if level > MAX_DEPTH:
+                        _too_deep(pos)
+                break
+            if kind == ")" and ops:  # the innermost '(' is on top
+                _, _, at, _, _, level = ops.pop()
+                d += 1
+                if d > MAX_DEPTH:
+                    _too_deep(at)
+            elif kind == "end" and not ops:
+                return f
+            else:
+                _unexpected(tokens[i - 1], (")",) if ops else ("&", "|", ">", "end"))
 
 
 # --- printing --------------------------------------------------------------
 #
-# Each node renders to (text, binding level); an operand that binds more
-# loosely than its place allows is parenthesized.
+# Each node renders to (text, binding power); an operand that binds more
+# loosely than the floor of its place is parenthesized.
 
 
 def _wrap(operand, floor):
-    text, level = operand
-    return "(" + text + ")" if level < floor else text
+    text, power = operand
+    return "(" + text + ")" if power < floor else text
 
 
 def _prefix(kind):
     symbol = SYMBOLS[kind]
-    return lambda a: (symbol + _wrap(a, 4), 4)
+    power, _, floor = _floors(kind)
+    return lambda a: (symbol + _wrap(a, floor), power)
 
 
-def _infix(kind, level, left_floor, right_floor):
+def _infix(kind):
     symbol = f" {SYMBOLS[kind]} "
-    return lambda a, b: (_wrap(a, left_floor) + symbol + _wrap(b, right_floor), level)
+    power, left_floor, right_floor = _floors(kind)
+    return lambda a, b: (_wrap(a, left_floor) + symbol + _wrap(b, right_floor), power)
 
 
+_ATOM_POWER = _BINDING[Var][0]
 _RENDER = {
-    Var: lambda f: (f.name, 5),
-    Bot: lambda f: ("bot", 5),
-    Top: lambda f: ("top", 5),
+    Var: lambda f: (f.name, _ATOM_POWER),
+    Bot: lambda f: ("bot", _ATOM_POWER),
+    Top: lambda f: ("top", _ATOM_POWER),
     **{kind: _prefix(kind) for kind in _UNARY},
-    And: _infix(And, 3, 3, 4),
-    Or: _infix(Or, 2, 2, 3),
-    Succ: _infix(Succ, 1, 2, 1),
+    **{kind: _infix(kind) for kind in _BINARY},
 }
 
 

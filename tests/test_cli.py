@@ -126,9 +126,11 @@ def test_eval_vars_must_cover_formula(capsys):
     ("--assign", "p=1,top=0", "bad variable name 'top' in assignment"),
     ("--vars", "p,Q", "bad variable name 'Q' in --vars"),
     ("--vars", "p,q,p", "--vars gives p twice"),
+    # A value with spaces carries further arguments.
+    ("--assign", "p=1 --vars q", "give --assign or --vars, not both"),
 ])
 def test_eval_rejects_ambiguous_variables(capsys, option, value, message):
-    _, out, err = run(capsys, "eval", "p", option, value, expect=2)
+    _, out, err = run(capsys, "eval", "p", option, *value.split(), expect=2)
     assert (out, err) == ("", message + "\n")
 
 

@@ -1,9 +1,10 @@
 """Every walk over formulas and proofs takes inputs of any depth: each test
 runs with the interpreter's frame limit a hundred frames above the test's
 own depth, and pushes a 10,000-deep chain through one walk (or, for hash, a
-proof that shares its subproofs).  The two walks that still recurse, the
-parser and semantics.evaluate, are held to the frames per level that
-MAX_DEPTH's docstring allows them."""
+proof that shares its subproofs).  The parser takes MAX_DEPTH-deep texts in
+a constant number of frames, and semantics.evaluate, the one walk that still
+recurses, is held to the two frames per level that MAX_DEPTH's docstring
+allows it."""
 
 import contextlib
 import sys
@@ -64,13 +65,13 @@ def and_chain(atom):
 
 
 def test_recursive_walks_keep_their_frame_budget():
-    # The parser takes five frames per pair of parentheses and one per
-    # prefix connective or '>', evaluate two per level; 20 frames of slack
-    # cover the calls outside that recursion.  One more frame per level
-    # would need another MAX_DEPTH.
+    # The parser takes a constant number of frames, whatever the nesting.
+    # evaluate takes two per level; 20 frames of slack cover the calls
+    # outside that recursion.  One more frame per level would need another
+    # MAX_DEPTH.
     texts = ["(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, "~" * MAX_DEPTH + "p",
              " > ".join(["p"] * (MAX_DEPTH + 1))]
-    with few_frames(5 * MAX_DEPTH + 20):
+    with few_frames(30):
         parsed = [parse(text) for text in texts]
     assert [render(f) for f in parsed] == ["p", *texts[1:]]
     f = P

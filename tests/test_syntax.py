@@ -12,6 +12,7 @@ from tml import hashcons, syntax
 from tml.semantics import evaluate, valuations
 from tml.syntax import (
     BOT,
+    MAX_DEPTH,
     TOP,
     And,
     Bot,
@@ -83,6 +84,16 @@ def test_parse_unary_and_parens():
         ("p > > q", 5),
         ("p @ q", 3),
         ("(p > q))", 8),
+        # Nesting past MAX_DEPTH: '(', prefix connectives and '>' are counted
+        # as they open, so the error names the first one too many, and '&'
+        # and '|' chains as each node is built.
+        pytest.param("~" * (MAX_DEPTH + 1) + "p", 101, id="prefixes"),
+        pytest.param("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), 101, id="parens"),
+        pytest.param(" > ".join(["p"] * (MAX_DEPTH + 2)), 403, id="succ-chain"),
+        pytest.param(" & ".join(["p"] * (MAX_DEPTH + 2)), 403, id="and-chain"),
+        pytest.param(" | ".join(["p"] * (MAX_DEPTH + 2)), 403, id="or-chain"),
+        pytest.param("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH + " & p", 203, id="parens-and"),
+        pytest.param("~" * MAX_DEPTH + "(p)", 101, id="prefixes-parens"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
@@ -90,6 +101,17 @@ def test_parse_errors_carry_positions(text, position):
         parse(text)
     assert exc.value.position == position
     assert f"position {position}" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, position, expected", [
+    ("~", 2, tuple(sorted(syntax._ATOM_STARTERS))),
+    ("(p q", 4, (")",)),
+    ("p )", 3, ("&", ">", "end", "|")),
+])
+def test_parse_errors_name_expected_tokens(text, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.position, exc.value.expected) == (position, expected)
 
 
 def test_parse_error_expected_tokens():
