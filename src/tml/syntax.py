@@ -471,7 +471,7 @@ def parse(text):
             elif kind == "end" and not ops:
                 return f
             else:
-                _unexpected(tokens[i - 1], (")",) if ops else ("&", "|", ">", "end"))
+                _unexpected(tokens[i - 1], ("&", "|", ">", ")" if ops else "end"))
 
 
 # --- printing --------------------------------------------------------------

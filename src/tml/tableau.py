@@ -12,7 +12,6 @@ either calculus an arbitrary formula.
 
 import functools
 import gc
-from collections import deque
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
@@ -39,7 +38,7 @@ from .syntax import (
 
 class SignedFormula(Interned):
     """T(f) or F(f), interned like formulas: equal signed formulas are one
-    object.  Interning also records what Branch.add needs of it: its kind
+    object.  Interning also records what Branch.extend needs of it: its kind
     in _KINDS and the TABLE key its complement would have."""
 
     __slots__ = ("sign", "formula", "_kind", "_complement_key")
@@ -165,7 +164,7 @@ _DERIVED = {signs: _compile(_PAIR[0], alts) for signs, alts in _DERIVED_RULES.it
 # The formula a signed a > b or ~(a > b) pairs with under a derived rule.
 _PARTNER = {_shape(parse(p)): _instantiator(p, q) for p, q in (_PAIR, _PAIR[::-1])}
 
-# What Branch.add does with a signed formula, keyed by its sign and _shape:
+# What Branch.extend does with a signed formula, keyed by its sign and _shape:
 # a signed literal stays on the branch, one that no valuation satisfies (a
 # signed constant whose value disagrees with its sign) closes the branch, and
 # every other shape waits for its rule.  SignedFormula reads this table once
@@ -243,8 +242,9 @@ class Branch:
     lists from `root` to `node`, taking at each split the alternative that
     `path` records, so sorting branches by path gives the leaf order.
     `mask` has a bit for each, numbered in `slots`, which all branches of a
-    complete() call share: a clone copies only `pending`, the formulas that
-    await expansion.  `done` masks those a derived rule has used up."""
+    complete() call share: a clone copies only `pending`, the list of
+    formulas that await expansion.  `done` masks those a derived rule has
+    used up."""
 
     __slots__ = ("root", "node", "path", "slots", "mask", "pending", "done", "closed")
 
@@ -253,7 +253,7 @@ class Branch:
         self.path = path
         self.slots = {}
         self.mask = self.done = 0
-        self.pending = deque()
+        self.pending = []
         self.closed = False
 
     def clone(self, node, path):
@@ -275,35 +275,47 @@ class Branch:
         return formulas
 
     def bit(self, sf):
-        """sf's bit in mask; T(f) and F(f) take neighbouring bits."""
+        """sf's bit in mask.  Slot rule: a formula new to `slots` takes the
+        next pair of bits, T(f) the lower and F(f) the upper.  extend()
+        states the rule inline; a test checks that the two agree."""
         pair = self.slots.get(sf.formula)
         if pair is None:
             pair = self.slots[sf.formula] = 1 << 2 * len(self.slots)
         return pair if sf.sign == "T" else pair << 1
 
     def add(self, sf):
-        """Record sf once; closes the branch on a sign conflict or an
-        unsatisfiable signed constant.  A conflict looks the complement up,
-        by the key sf cached when it was interned, to fill closed_by."""
+        """extend() with the one signed formula sf."""
+        self.extend((sf,))
+
+    def extend(self, sfs):
+        """Record each of sfs once, in order, up to the first that closes
+        the branch: a sign conflict or an unsatisfiable signed constant.  A
+        conflict looks the complement up, by the key the formula cached
+        when it was interned, to fill closed_by."""
         if self.closed:
             return
-        bit = self.bit(sf)
-        mask = self.mask
-        if mask & bit:
-            return
-        self.mask = mask | bit
-        self.node.added.append(sf)
-        kind = sf._kind
-        if kind is _CLOSES:
-            self._close(sf, None)
-        elif mask & (bit >> 1 if sf.sign == "F" else bit << 1):
-            self._close(sf, TABLE.get(sf._complement_key, absent)())
-        elif kind is _EXPANDS:
-            self.pending.append(sf)
+        slots, mask, added = self.slots, self.mask, self.node.added
+        for sf in sfs:
+            pair = slots.get(sf.formula)
+            if pair is None:
+                pair = slots[sf.formula] = 1 << 2 * len(slots)
+            bit, other = (pair, pair << 1) if sf.sign == "T" else (pair << 1, pair)
+            if mask & bit:
+                continue
+            mask |= bit
+            added.append(sf)
+            kind = sf._kind
+            if kind is _CLOSES:
+                return self._close(mask, sf, None)
+            if mask & other:
+                return self._close(mask, sf, TABLE.get(sf._complement_key, absent)())
+            if kind is _EXPANDS:
+                self.pending.append(sf)
+        self.mask = mask
 
-    def _close(self, sf, complement):
-        self.closed = True
-        self.node.closed = True
+    def _close(self, mask, sf, complement):
+        self.mask = mask
+        self.closed = self.node.closed = True
         self.node.closed_by = sf, complement
 
 
@@ -369,58 +381,39 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
             raise SignatureError(
                 f"{sf} is outside the {system.value} signature; translate first"
             )
-    root = Node(added=[], rule=None)
+    root = Node([])
     first = Branch(root)
-    for sf in roots:
-        first.add(sf)
+    first.extend(roots)
     finished = []
     stack = [first]
     expansions = _Expansions(system)
     while stack:
         branch = stack.pop()
-        while not branch.closed and branch.pending:
-            if rng is None:
-                sf = branch.pending.popleft()
-            else:
-                index = rng.randrange(len(branch.pending))
-                branch.pending.rotate(-index)
-                sf = branch.pending.popleft()
-                branch.pending.rotate(index)
+        pending = branch.pending
+        while not branch.closed and pending:
+            sf = pending.pop(0 if rng is None else rng.randrange(len(pending)))
             if derived:
                 if branch.done & branch.bit(sf):
                     continue
                 alternatives, label = _pick_rule(sf, branch, system, expansions)
             else:
-                # add() queues a formula once per branch, so none is done yet.
+                # extend() queues a formula once per branch, so none is done yet.
                 alternatives, label = expansions[sf]
-            if len(alternatives) == 1:
-                node = Node(added=[], rule=label)
-                branch.node.children.append(node)
-                branch.node = node
-                for new_sf in alternatives[0]:
-                    branch.add(new_sf)
-                continue
-            # k - 1 clones; the branch itself takes the last alternative,
-            # which is worked last.
-            last = len(alternatives) - 1
-            children = []
-            for k, alt in enumerate(alternatives):
-                node = Node(added=[], rule=label)
-                branch.node.children.append(node)
-                path = branch.path + (k,)
-                if k < last:
-                    child = branch.clone(node, path)
-                else:
-                    child = branch
-                    child.node, child.path = node, path
-                for new_sf in alt:
-                    child.add(new_sf)
-                children.append(child)
-            stack.extend(reversed(children))
-            branch = None
-            break
-        if branch is None:
-            continue
+            # A clone for each alternative but the first, pushed so that the
+            # second is popped next; the branch itself takes the first and
+            # is worked on at once.  Only a split extends the path.
+            children = branch.node.children
+            for _ in alternatives:
+                children.append(Node([], label))
+            if len(children) > 1:
+                path = branch.path
+                for k in range(len(children) - 1, 0, -1):
+                    twin = branch.clone(children[k], path + (k,))
+                    twin.extend(alternatives[k])
+                    stack.append(twin)
+                branch.path = path + (0,)
+            branch.node = children[0]
+            branch.extend(alternatives[0])
         finished.append(branch)
         if stop_on_open and not branch.closed:
             break

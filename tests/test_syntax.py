@@ -105,8 +105,9 @@ def test_parse_errors_carry_positions(text, position):
 
 @pytest.mark.parametrize("text, position, expected", [
     ("~", 2, tuple(sorted(syntax._ATOM_STARTERS))),
-    ("(p q", 4, (")",)),
+    ("(p q", 4, ("&", ")", ">", "|")),
     ("p )", 3, ("&", ">", "end", "|")),
+    ("((p) q", 6, ("&", ")", ">", "|")),
 ])
 def test_parse_errors_name_expected_tokens(text, position, expected):
     with pytest.raises(ParseError) as exc:

@@ -311,6 +311,18 @@ def test_complete_rejects_out_of_signature_roots():
         complete([F(parse("p > q"))], Signature.FULL)
 
 
+def test_worst_known_input_is_pinned():
+    """The largest tree any test builds: the full system's translation of a
+    small succ formula explores 35,399 branches, of which only the last is
+    open."""
+    result = decide(parse("((p > r) > r > p) > s"), Signature.FULL)
+    assert isinstance(result, Refuted)
+    assert result.model == {"p": "1", "r": "0", "s": "0"}
+    branches = result.tableau.branches
+    assert (len(branches), sum(b.closed for b in branches)) == (35399, 35398)
+    assert result.branch is branches[-1]
+
+
 def test_decide_checks_its_countermodel(monkeypatch):
     monkeypatch.setattr(tableau, "extract_model",
                         lambda branch, names=(): {n: "1" for n in names})
@@ -711,6 +723,81 @@ def test_adding_a_formula_interns_no_complement(monkeypatch):
     # an existing complement is still found
     branch.add(T(atom))
     assert branch.closed and branch.node.closed_by == (T(atom), F(atom))
+
+
+def _reference_branch(alternatives):
+    """What a branch holds after taking each alternative in turn, recorded one
+    signed formula at a time on plain lists: (added, pending, closed_by, the
+    formulas consumed).  A formula already there is skipped, and the first
+    that is a closing constant or meets its complement ends the branch."""
+    added, pending, consumed, closed_by = [], [], [], None
+    for alt in alternatives:
+        for sf in alt:
+            if closed_by is not None:
+                break
+            consumed.append(sf)
+            if sf in added:
+                continue
+            added.append(sf)
+            complement = SignedFormula("F" if sf.sign == "T" else "T", sf.formula)
+            if sf._kind is tableau._CLOSES:
+                closed_by = sf, None
+            elif complement in added:
+                closed_by = sf, complement
+            elif sf._kind is tableau._EXPANDS:
+                pending.append(sf)
+    return added, pending, closed_by, consumed
+
+
+_P_TO_P = expand(F(Succ(P, P)), Signature.SUCC)
+
+
+@pytest.mark.parametrize("alternatives", [
+    [[T(P), T(P), F(Q)], [F(Q), T(Neg(Neg(P)))]],
+    [[T(Neg(Neg(P))), T(Bot()), T(Q)], [F(Q)]],
+    [[F(Neg(Top())), F(Top()), T(Q)]],
+    [_P_TO_P[0], [T(Q)]],
+    [[F(P), F(Neg(Neg(Q)))], [T(Q), T(P), F(Q)]],
+    [[F(Succ(P, Q)), T(Neg(P)), F(Neg(Q))], [T(Succ(P, Q)), F(Succ(P, Q))]],
+    [[F(Bot()), T(Neg(Bot())), F(Neg(P)), T(P)], _P_TO_P[1]],
+], ids=["repeat", "closing-constant", "closing-top", "conflict-in-row",
+        "conflict-f-first", "conflict-expands", "open"])
+def test_extend_matches_one_formula_at_a_time(alternatives):
+    node = Node([])
+    branch = Branch(node)
+    for alt in alternatives:
+        branch.extend(alt)
+    added, pending, closed_by, consumed = _reference_branch(alternatives)
+    assert node.added == added and branch.formulas == added
+    assert branch.pending == pending
+    assert node.closed_by == closed_by
+    assert branch.closed is node.closed is (closed_by is not None)
+    # extend numbers slots as Branch.bit does, on the formulas it read
+    reference = Branch(Node([]))
+    mask = 0
+    for sf in consumed:
+        mask |= reference.bit(sf)
+    assert reference.slots == branch.slots
+    assert branch.mask == mask
+    # a closed branch takes nothing more
+    if branch.closed:
+        branch.extend([F(Var("after_close"))])
+        assert (node.added, branch.mask) == (added, mask)
+
+
+def test_extend_numbers_slots_by_first_sight():
+    branch = Branch(Node([]))
+    branch.extend([F(P), T(Q), T(Neg(P))])
+    assert branch.slots == {P: 1, Q: 4, Neg(P): 16}
+    assert branch.mask == 0b10110
+    assert [branch.bit(sf) for sf in (T(P), F(P), T(Q), F(Q))] == [1, 2, 4, 8]
+    # a clone shares the slots: a formula new to it takes the next pair, and
+    # nothing after the formula that closes it is read
+    twin = branch.clone(Node([]), (0,))
+    twin.extend([T(Var("r")), F(Neg(P)), F(Var("s"))])
+    assert twin.mask == 0b1110110 and branch.mask == 0b10110
+    assert twin.closed and twin.node.closed_by == (F(Neg(P)), T(Neg(P)))
+    assert branch.slots == {P: 1, Q: 4, Neg(P): 16, Var("r"): 64}
 
 
 # --- cached rule data and the paused cycle collector --------------------------
