@@ -254,7 +254,7 @@ def _load_proof(path):
         raise _UsageError("bad proof JSON: nested too deep")
     try:
         return nd.from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         raise _UsageError(f"bad proof object: {e}")
 
 

@@ -725,24 +725,17 @@ def _rename_markers(tree, mapping):
     return _rebuild(tree, leaf, mapping)
 
 
-def _refresh(tree, supply):
-    """Copy a subderivation, renaming every marker bound inside it so the
-    copy can coexist with the original."""
-    bound = _bound_markers([tree])
-    if not bound:
-        return tree
-    mapping = {m: supply.fresh() for m in sorted(bound)}
-    return _rename_markers(tree, mapping)
-
-
-def _refresh_unit(trees, discharges, supply):
-    """Copy the non-major premises of a rule application together with its
-    discharge list, renaming markers bound in the unit consistently."""
+def _refresh(trees, discharges, supply):
+    """Copy subderivations together with a discharge list, renaming every
+    marker bound in the unit (discharged inside a tree or in the list)
+    consistently, so the copy can coexist with the original.  The input comes
+    back as it is when nothing is bound."""
     bound = _bound_markers(trees) | {m for m, _ in discharges}
+    if not bound:
+        return trees, discharges
     mapping = {m: supply.fresh() for m in sorted(bound)}
-    new_trees = tuple(_rename_markers(t, mapping) for t in trees)
-    new_discharges = tuple((mapping.get(m, m), f) for m, f in discharges)
-    return new_trees, new_discharges
+    return (tuple(_rename_markers(t, mapping) for t in trees),
+            tuple((mapping.get(m, m), f) for m, f in discharges))
 
 
 def _assume_sites(tree, marker):
@@ -752,7 +745,7 @@ def _assume_sites(tree, marker):
 def _substitute(tree, marker, replacement, supply):
     """Plug a derivation in for every assumption of the given class."""
     def leaf(t):
-        return _refresh(replacement, supply) if t.marker == marker else t
+        return _refresh((replacement,), (), supply)[0][0] if t.marker == marker else t
     return _rebuild(tree, leaf, {})
 
 
@@ -805,7 +798,8 @@ def _bot_elim(bot_deriv, target, supply):
             done.append(_build(tag, _take(done, len(premises)), markers, **binding))
             continue
         deriv, copy, target = goal
-        deriv = _refresh(deriv, supply) if copy else deriv
+        if copy:
+            (deriv,), _ = _refresh((deriv,), (), supply)
         if _is_nd_literal(target):
             done.append(bot_e(deriv, target))
         elif target is BOT:
@@ -846,9 +840,8 @@ def atomize_bot(proof):
 # --- conversions and normalization ---------------------------------------------
 
 
-def _resolve_cut(proof, cut, report=None):
-    if report is None:
-        report = analyze(proof)
+def _resolve_cut(proof, cut):
+    report = analyze(proof)
     if type(cut) is Segment:
         if cut in report.cuts:
             return cut
@@ -923,7 +916,7 @@ def _convert(proof, seg, supply):
     # Each minor premise of final takes the consumer's other premises and
     # discharges: the first the originals, the second a renamed copy.
     units = ((consumer.premises[1:], consumer.discharges),
-             _refresh_unit(consumer.premises[1:], consumer.discharges, supply))
+             _refresh(consumer.premises[1:], consumer.discharges, supply))
     pushed = tuple(Rule(consumer.tag, consumer.conclusion, (minor, *trees), discharges)
                    for minor, (trees, discharges) in zip(final.premises[1:], units))
     replacement = Rule(final.tag, consumer.conclusion, (final.premises[0], *pushed),
@@ -1060,10 +1053,10 @@ def _rule_json(t, premises):
 
 
 MAX_PROOF_DEPTH = 200
-"""Deepest rule nesting from_json() accepts, counted in rules on one path from
-the conclusion to a leaf.  No walk in this module takes a frame per level, so
-a proof built in Python may be as deep as memory allows.  The bound is for
-the JSON around a proof in the CLI: json.loads, which reads it, and
+"""Most rules from_json() accepts above a node, counted on its path from the
+conclusion.  No walk in this module takes a frame per level, so a proof
+built in Python may be as deep as memory allows.  The bound is for the JSON
+around a proof in the CLI: json.loads, which reads it, and
 json.dumps(indent=2), which prints a normal form, take two of Python's
 default 1000 frames per rule (its object and its premises list).
 Normalizing can nearly double the depth (a detour's major side replaces the
@@ -1073,30 +1066,26 @@ assumption at the bottom of its minor side), so printing takes up to about
 
 def from_json(obj):
     """Build a proof from its JSON object.  Raises ParseError on a bad
-    formula and ValueError on any other malformed input, also on a proof
-    nested deeper than MAX_PROOF_DEPTH rules."""
-    level, depth = [obj], 0
-    while level:
-        if depth > MAX_PROOF_DEPTH:
+    formula and ValueError on any other malformed input, also on a node
+    under more than MAX_PROOF_DEPTH rules.  The error met first in preorder
+    is raised, its message prefixed with the node's path, as in
+    'premises[0].premises[1]: <message>', unless the node is the root or
+    the error is the depth bound's.
+
+    One walk on an explicit stack.  An entry is (node, None, where) for a
+    node still to read and (node, conclusion, where) for a rule whose
+    premises are done; where is the node's path, its premise indices from
+    the root.  A node is checked and its conclusion parsed before its
+    premises, its discharges parsed after them.  parsed maps each formula text met so
+    far to its formula: a del rule repeats its conclusion in its minor
+    premises, and assumptions recur, so most texts come back."""
+    parsed, done, stack = {}, [], [(obj, None, ())]
+    while stack:
+        obj, conclusion, where = stack.pop()
+        if len(where) > MAX_PROOF_DEPTH:
             raise ValueError(f"proof nested deeper than {MAX_PROOF_DEPTH} rules")
-        level = [p for node in level if isinstance(node, dict)
-                 and isinstance(node.get("premises"), list) for p in node["premises"]]
-        depth += 1
-    return _from_json(obj)
-
-
-def _from_json(obj):
-    """The proof of obj, built on an explicit stack: a node is checked and its
-    conclusion parsed before its premises, its discharges parsed after them.
-    parsed maps each formula text met so far to its formula: a del rule
-    repeats its conclusion in its minor premises, and assumptions recur, so
-    most texts come back."""
-    parsed, done, stack = {}, [], [obj]
-    try:
-        while stack:
-            obj = stack.pop()
-            if obj is _READY:
-                obj, conclusion = stack.pop()
+        try:
+            if conclusion is not None:
                 built = _take(done, len(obj.get("premises", ())))
                 done.append(Rule(obj["rule"], conclusion, built, tuple(
                     (d["marker"], _parse_once(parsed, d["formula"]))
@@ -1127,11 +1116,12 @@ def _from_json(obj):
                         and isinstance(d.get("formula"), str)):
                     raise ValueError(
                         f"discharges[{i}] must be an object with string 'marker' and 'formula'")
-            conclusion = _parse_once(parsed, _text(obj, "conclusion"))
-            stack += ((obj, conclusion), _READY, *reversed(premises))
-    except (ValueError, ParseError) as e:
-        _locate(e, stack)
-        raise
+            stack.append((obj, _parse_once(parsed, _text(obj, "conclusion")), where))
+            stack += [(premises[i], None, where + (i,)) for i in reversed(range(len(premises)))]
+        except (ValueError, ParseError) as e:
+            if where:
+                e.args = (".".join(f"premises[{i}]" for i in where) + f": {e}",)
+            raise
     return done[0]
 
 
@@ -1141,21 +1131,6 @@ def _parse_once(parsed, text):
     if f is None:
         f = parsed[text] = parse(text)
     return f
-
-
-def _locate(error, stack):
-    """Prefix the message of an error that _from_json raised for the node it
-    took off stack last with the node's path: 'premises[0].premises[1]:
-    <message>'.  Each ancestor of the node lies on the stack under a _READY
-    marker, and the ancestor's premises still to come lie above the marker."""
-    marks = [k for k, entry in enumerate(stack) if entry is _READY]
-    where = []
-    for k, end in zip(marks, marks[1:] + [len(stack) + 1]):
-        ancestor, _ = stack[k - 1]
-        to_come = end - k - 2  # the entries up to the next ancestor, or the top
-        where.append(f"premises[{len(ancestor['premises']) - 1 - to_come}]")
-    if where:
-        error.args = (f"{'.'.join(where)}: {error}",)
 
 
 def _text(obj, key):

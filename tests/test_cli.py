@@ -303,6 +303,23 @@ def test_nd_check_missing_file(capsys):
     run(capsys, "nd-check", "/no/such/proof.json", expect=2)
 
 
+@pytest.mark.parametrize("error, code", [(TypeError, 3), (KeyError, 3), (ValueError, 2)])
+def test_only_a_value_error_from_the_reader_is_bad_input(capsys, monkeypatch, lem_i_file,
+                                                          error, code):
+    # from_json checks every field's type before it uses it, so a TypeError
+    # or KeyError out of it is a bug in the reader, not a bad proof.
+    def reader(obj):
+        raise error("from the reader")
+
+    monkeypatch.setattr(nd, "from_json", reader)
+    _, out, err = run(capsys, "nd-check", lem_i_file, expect=code)
+    assert out == ""
+    if code == 3:
+        assert "Traceback" in err and "from the reader" in err
+    else:
+        assert err.strip() == "bad proof object: from the reader"
+
+
 def stdin_of(data):
     """A stand-in for sys.stdin holding data, decoded as utf-8 like a
     process started with PYTHONIOENCODING=utf-8."""

@@ -794,6 +794,59 @@ def test_from_json_reports_a_repeated_bad_formula_where_it_first_occurs():
     assert str(caught.value) == f"premises[1].premises[0]: {alone.value}"
 
 
+def _negneg_chain(rules):
+    """NegNegI and NegNegE applied in turn to p, `rules` deep, concluding p
+    for an even number of rules."""
+    obj = _P_LEAF
+    for level in range(1, rules + 1):
+        tag, conclusion = ("NegNegI", "~~p") if level % 2 else ("NegNegE", "p")
+        obj = {"rule": tag, "conclusion": conclusion, "premises": [obj]}
+    return obj
+
+
+def test_from_json_reports_an_error_before_a_too_deep_node_first():
+    # The walk reads the object in preorder and meets the bad leaf before
+    # the first node under more than MAX_PROOF_DEPTH rules.
+    obj = {"rule": "AndI", "conclusion": "p & p",
+           "premises": [{"rule": "Assume", "formula": 5},
+                        {"rule": "NegNegE", "conclusion": "p",
+                         "premises": [_negneg_chain(nd.MAX_PROOF_DEPTH)]}]}
+    with pytest.raises(ValueError, match="^premises\\[0\\]: formula must be a string$"):
+        nd.from_json(obj)
+
+
+def test_from_json_depth_error_names_no_path():
+    depth = nd.MAX_PROOF_DEPTH
+    obj = {"rule": "AndI", "conclusion": "p & p", "premises": [_P_LEAF, _negneg_chain(depth)]}
+    with pytest.raises(ValueError) as caught:
+        nd.from_json(obj)
+    assert str(caught.value) == f"proof nested deeper than {depth} rules"
+    obj["premises"][1] = _negneg_chain(depth - 2)
+    assert nd.check(nd.from_json(obj)).conclusion == parse("p & p")
+
+
+def test_from_json_locates_a_discharge_parse_error_at_its_rule():
+    # Discharges are parsed once the rule's premises are read.
+    box_i = {"rule": "BoxI", "conclusion": "[]p",
+             "premises": [{"rule": "MA", "formula": "p | ~[]p"}] * 2,
+             "discharges": [{"marker": "u", "formula": "~p &"}]}
+    for where, obj in (("", box_i), ("premises[1]: ", {"rule": "AndI", "conclusion": "p & []p",
+                                                        "premises": [_P_LEAF, box_i]})):
+        with pytest.raises(ParseError) as caught:
+            nd.from_json(obj)
+        assert str(caught.value) == f"{where}parse error at position 5: unexpected end of input"
+        assert caught.value.position == 5
+
+
+def test_from_json_ignores_premises_of_a_leaf_at_any_depth():
+    junk = []
+    for _ in range(300):
+        junk = [{"rule": "Assume", "formula": "p", "premises": junk}]
+    obj = {"rule": "NegNegI", "conclusion": "~~p",
+           "premises": [{"rule": "Assume", "formula": "p", "premises": junk}]}
+    assert nd.from_json(obj) == nd.neg_neg_i(nd.assume(P))
+
+
 def _rule_depth(proof):
     level, depth = [proof], 0
     while level:
