@@ -195,12 +195,17 @@ def _cmd_eval(args):
     return obj, "\n".join(lines)
 
 
-def _cmd_valid(args):
-    model = countermodel(_read_formula_arg(args.formula))
+def _judged(model, good, bad):
+    """The output of a verdict: good when model is None, else bad with model
+    as its countermodel."""
     if model is None:
-        return {"verdict": "valid"}, "VALID"
-    return ({"verdict": "invalid", "countermodel": model},
-            f"INVALID  countermodel: {_format_model(model)}")
+        return {"verdict": good}, good.upper()
+    return ({"verdict": bad, "countermodel": model},
+            f"{bad.upper()}  countermodel: {_format_model(model)}")
+
+
+def _cmd_valid(args):
+    return _judged(countermodel(_read_formula_arg(args.formula)), "valid", "invalid")
 
 
 def _cmd_countermodel(args):
@@ -217,20 +222,14 @@ def _cmd_consequence(args):
         raise _UsageError(f"more than {MAX_DEPTH} premises")
     premises = [_read_formula_arg(t) for t in args.premises]
     model = consequence_countermodel(premises, _read_formula_arg(args.to))
-    if model is None:
-        return {"verdict": "holds"}, "HOLDS"
-    return ({"verdict": "fails", "countermodel": model},
-            f"FAILS  countermodel: {_format_model(model)}")
+    return _judged(model, "holds", "fails")
 
 
 def _cmd_prove(args):
     f = _read_formula_arg(args.formula)
     verdict = decide(f, Signature(args.system), derived=args.derived)
-    if isinstance(verdict, Proved):
-        obj, text = {"verdict": "proved"}, "PROVED"
-    else:
-        obj = {"verdict": "refuted", "countermodel": verdict.model}
-        text = f"REFUTED  countermodel: {_format_model(verdict.model)}"
+    model = None if isinstance(verdict, Proved) else verdict.model
+    obj, text = _judged(model, "proved", "refuted")
     if args.emit_tableau:
         obj["tableau"] = format_tableau(verdict.tableau)
         text += "\n" + obj["tableau"].rstrip("\n")

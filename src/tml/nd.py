@@ -291,8 +291,10 @@ def check(proof):
     """Validate the whole tree; returns Judgement(open_assumptions,
     conclusion).  Raises SchemaError or DischargeError."""
     marker_formula = {}
-    discharged = {}  # marker -> None, in the order of discharge
+    discharged = set()
     seen = set()
+    # No rule discharges an unmarked assumption, so one set holds them all.
+    unmarked = set()
 
     def note_marker(marker, formula, where):
         old = marker_formula.get(marker)
@@ -306,15 +308,14 @@ def check(proof):
 
     # One explicit-stack walk: a node's language is checked on the way down,
     # its schema and discharges once its premises are done.  results holds,
-    # per finished node, its open marked classes (dict marker -> formula)
-    # and open unmarked assumptions (set of formulas); no node changes
-    # another's.  A Rule's stack entry carries, once its premises are
-    # pushed, how many markers were discharged before its subtree, None
-    # before.  done keeps a finished Rule's result by node identity, so a
-    # shared subtree is checked once.  Checked as a tree, a second copy would
-    # pass up to its first discharge and fail there, as that marker is
-    # taken; so for a subtree that discharges, done keeps that marker's
-    # position in discharged instead.  A shared leaf is checked again, in O(1).
+    # per finished node, its open marked classes (dict marker -> formula); no
+    # node changes another's.  A Rule's stack entry carries, once its
+    # premises are pushed, how many markers were discharged before its
+    # subtree, None before.  done keeps a finished Rule's result by node
+    # identity when its subtree discharged nothing, so such a shared subtree
+    # is checked once.  A shared subtree that discharges is walked again and
+    # fails at its first discharge, as a tree walk would.  A shared leaf is
+    # checked again, in O(1).
     results = []
     done = {}
     stack = [(proof, None)]
@@ -324,59 +325,53 @@ def check(proof):
             below = _take(results, len(t.premises))
             _schema_check(t)
             marked = {}
-            unmarked = set()
-            for m, u in below:
+            for m in below:
                 marked.update(m)
-                unmarked |= u
             scopes = DISCHARGE_SCOPES.get(t.tag, ())
             for (marker, formula), scope in zip(t.discharges, scopes):
                 if marker in discharged:
                     raise DischargeError(
                         f"marker {marker!r} is discharged by two rule applications"
                     )
-                discharged[marker] = None
+                discharged.add(marker)
                 note_marker(marker, formula, f"discharge at {t.tag}")
-                for i, (m, _) in enumerate(below):
+                for i, m in enumerate(below):
                     if i != scope and marker in m:
                         raise DischargeError(
                             f"marker {marker!r} is open in premise {i} of {t.tag}, "
                             f"outside its discharge scope (premise {scope})"
                         )
                 marked.pop(marker, None)
-            entry = marked, unmarked
-            done[id(t)] = entry if len(discharged) == before else before
-            results.append(entry)
+            if len(discharged) == before:
+                done[id(t)] = marked
+            results.append(marked)
         elif type(t) is Assume:
             _check_language(t.formula, seen)
             if t.marker is None:
-                results.append(({}, {t.formula}))
+                unmarked.add(t.formula)
+                results.append({})
             else:
                 note_marker(t.marker, t.formula, "assumption leaf")
-                results.append(({t.marker: t.formula}, set()))
+                results.append({t.marker: t.formula})
         elif type(t) is MA:
             _check_language(t.formula, seen)
             _expect("MA", "formula", _MA_SHAPE, t.formula, {})
-            results.append(({}, set()))
+            results.append({})
         elif type(t) is Rule:
-            entry = done.get(id(t))
-            if entry is None:
+            marked = done.get(id(t))
+            if marked is None:
                 _check_language(t.conclusion, seen)
                 for _, f in t.discharges:
                     _check_language(f, seen)
                 stack.append((t, len(discharged)))
                 stack.extend((p, None) for p in reversed(t.premises))
-            elif isinstance(entry, int):
-                raise DischargeError(
-                    f"marker {list(discharged)[entry]!r} is discharged by two rule applications"
-                )
             else:
-                results.append(entry)
+                results.append(marked)
         else:
             raise SchemaError(f"not a proof node: {t!r}")
 
-    [(marked, unmarked)] = results
-    open_formulas = frozenset(unmarked) | frozenset(marked.values())
-    return Judgement(open_formulas, conclusion_of(proof))
+    [marked] = results
+    return Judgement(frozenset(unmarked) | frozenset(marked.values()), conclusion_of(proof))
 
 
 # --- convenience builders (conclusions computed from the premises) -----------
@@ -690,24 +685,14 @@ def _bound_markers(trees):
             for m, _ in t.discharges}
 
 
-class _MarkerSupply:
+def _fresh_markers(proof):
     """Marker names m1, m2, ... that the proof does not use.  The proof's
-    markers are collected on the first request: most conversions need no
+    markers are collected on the first next(): most conversions need no
     fresh marker."""
-
-    def __init__(self, proof):
-        self.proof = proof
-        self.used = None
-        self.counter = itertools.count(1)
-
-    def fresh(self):
-        if self.used is None:
-            self.used = all_markers(self.proof)
-        while True:
-            name = f"m{next(self.counter)}"
-            if name not in self.used:
-                self.used.add(name)
-                return name
+    used = all_markers(proof)
+    for n in itertools.count(1):
+        if f"m{n}" not in used:
+            yield f"m{n}"
 
 
 def _rebuild(tree, leaf, mapping):
@@ -719,12 +704,6 @@ def _rebuild(tree, leaf, mapping):
     return _fold_proof(tree, lambda t: leaf(t) if type(t) is Assume else t, rule)
 
 
-def _rename_markers(tree, mapping):
-    def leaf(t):
-        return Assume(t.formula, mapping[t.marker]) if t.marker in mapping else t
-    return _rebuild(tree, leaf, mapping)
-
-
 def _refresh(trees, discharges, supply):
     """Copy subderivations together with a discharge list, renaming every
     marker bound in the unit (discharged inside a tree or in the list)
@@ -733,13 +712,13 @@ def _refresh(trees, discharges, supply):
     bound = _bound_markers(trees) | {m for m, _ in discharges}
     if not bound:
         return trees, discharges
-    mapping = {m: supply.fresh() for m in sorted(bound)}
-    return (tuple(_rename_markers(t, mapping) for t in trees),
+    mapping = {m: next(supply) for m in sorted(bound)}
+
+    def leaf(t):
+        return Assume(t.formula, mapping[t.marker]) if t.marker in mapping else t
+
+    return (tuple(_rebuild(t, leaf, mapping) for t in trees),
             tuple((mapping.get(m, m), f) for m, f in discharges))
-
-
-def _assume_sites(tree, marker):
-    return sum(type(t) is Assume and t.marker == marker for t in _subtrees(tree))
 
 
 def _substitute(tree, marker, replacement, supply):
@@ -794,7 +773,7 @@ def _bot_elim(bot_deriv, target, supply):
         if goal is _READY:
             tag, binding = stack.pop()
             premises, _, discharges = _SCHEMAS[tag]
-            markers = [supply.fresh() for _ in discharges]
+            markers = [next(supply) for _ in discharges]
             done.append(_build(tag, _take(done, len(premises)), markers, **binding))
             continue
         deriv, copy, target = goal
@@ -825,7 +804,7 @@ def atomize_bot(proof):
     BotE concluding bot collapses to its own premise.  Subtrees without such
     a BotE come back as the very same objects.  Raises SchemaError if such a
     conclusion leaves the proof language."""
-    supply = _MarkerSupply(proof)
+    supply = _fresh_markers(proof)
 
     def rule(t, premises):
         if t.tag == "BotE" and not _is_nd_literal(t.conclusion):
@@ -861,7 +840,9 @@ def _classify(proof, seg):
         return "detour", None
     final = _node_at(proof, seg.positions[-1])
     for i in (1, 2):
-        if _assume_sites(final.premises[i], final.discharges[i - 1][0]) == 0:
+        marker = final.discharges[i - 1][0]
+        if not any(type(t) is Assume and t.marker == marker
+                   for t in _subtrees(final.premises[i])):
             return "removal", i
     return "permutation", None
 
@@ -927,7 +908,7 @@ def _convert(proof, seg, supply):
 def convert_at(proof, cut):
     """Apply one conversion step at the given cut (a Segment from analyze,
     or the start position of one).  Raises ValueError if it is not a cut."""
-    return _convert(proof, _resolve_cut(proof, cut), _MarkerSupply(proof))[0]
+    return _convert(proof, _resolve_cut(proof, cut), _fresh_markers(proof))[0]
 
 
 def normalize(proof, observer=None):
@@ -948,7 +929,7 @@ def normalize(proof, observer=None):
     step = 1
     while summary[_RANK] >= 0:
         seg = _critical_segment(summary)
-        result, kind = _convert(result, seg, _MarkerSupply(result))
+        result, kind = _convert(result, seg, _fresh_markers(result))
         summary = _summarize(result, memo, ranks)
         new_measure = _measure(summary)
         if not new_measure < measure:

@@ -39,16 +39,16 @@ from .syntax import (
 class SignedFormula(Interned):
     """T(f) or F(f), interned like formulas: equal signed formulas are one
     object.  Interning also records what Branch.extend needs of it: its kind
-    in _KINDS and the TABLE key its complement would have."""
+    in _KINDS."""
 
-    __slots__ = ("sign", "formula", "_kind", "_complement_key")
+    __slots__ = ("sign", "formula", "_kind")
     __match_args__ = ("sign", "formula")
 
     def __new__(cls, sign, formula):
         # The TABLE key and _shape, written out: on decide's small inputs most
         # signed formulas are new, and calling out for them costs about 4 %
         # of their latency.  The test that checks both against a reference
-        # is test_cached_kind_and_complement_key_match_the_reference.
+        # is test_cached_kind_matches_the_reference.
         key = sign, id(formula)
         node = TABLE.get(key, absent)()
         if node is None:
@@ -60,7 +60,6 @@ class SignedFormula(Interned):
             shape = type(formula)
             under = type(formula.body) if shape is Neg else None
             _SET_KIND(node, _KINDS.get((sign, shape, under), _EXPANDS))
-            _SET_COMPLEMENT_KEY(node, ("F" if sign == "T" else "T", key[1]))
             node = enter(key, node)
         return node
 
@@ -71,7 +70,6 @@ class SignedFormula(Interned):
 _SET_SIGN = SignedFormula.sign.__set__
 _SET_FORMULA = SignedFormula.formula.__set__
 _SET_KIND = SignedFormula._kind.__set__
-_SET_COMPLEMENT_KEY = SignedFormula._complement_key.__set__
 
 
 def T(f):
@@ -290,8 +288,10 @@ class Branch:
     def extend(self, sfs):
         """Record each of sfs once, in order, up to the first that closes
         the branch: a sign conflict or an unsatisfiable signed constant.  A
-        conflict looks the complement up, by the key the formula cached
-        when it was interned, to fill closed_by."""
+        conflict names the complement in closed_by.  Its bit is set, so it
+        is on the branch and interned, and it is looked up by the TABLE key
+        that SignedFormula.__new__ writes out: a SignedFormula call costs
+        several times the lookup, and most branches close this way."""
         if self.closed:
             return
         slots, mask, added = self.slots, self.mask, self.node.added
@@ -308,7 +308,8 @@ class Branch:
             if kind is _CLOSES:
                 return self._close(mask, sf, None)
             if mask & other:
-                return self._close(mask, sf, TABLE.get(sf._complement_key, absent)())
+                complement = TABLE.get(("F" if sf.sign == "T" else "T", id(sf.formula)), absent)()
+                return self._close(mask, sf, complement)
             if kind is _EXPANDS:
                 self.pending.append(sf)
         self.mask = mask

@@ -275,6 +275,37 @@ def test_shared_discharge_fails_as_in_the_tree():
         nd.check(nd.and_i(shared, shared))
 
 
+def test_shared_subtree_around_a_discharge_fails_as_in_the_tree():
+    # The discharging OrE sits inside a larger shared subtree x, so the
+    # second copy of x discharges u again.
+    minor1 = nd.or_i1(nd.Assume(P, "u"), Q)
+    minor2 = nd.or_i2(nd.Assume(Q, "v"), P)
+    shared = nd.or_e(nd.Assume(parse("p | q")), minor1, minor2, "u", "v")
+    x = nd.and_i(shared, nd.Assume(parse("r")))
+    assert nd.check(x).conclusion == parse("(p | q) & r")
+    with pytest.raises(nd.DischargeError,
+                       match="^marker 'u' is discharged by two rule applications$"):
+        nd.check(nd.and_i(x, x))
+
+
+def test_shared_subtree_keeps_its_open_assumptions():
+    # The second copy of the shared subtree is not walked again; both its
+    # unmarked and its marked assumptions stay open.
+    shared = nd.and_i(nd.Assume(P), nd.Assume(Q, "w"))
+    proof = nd.and_i(shared, shared)
+    assert nd.check(proof) == nd.Judgement(frozenset([P, Q]), And(And(P, Q), And(P, Q)))
+
+
+def test_discharge_leaves_an_unmarked_assumption_of_its_formula_open():
+    # The OrE discharges the class u of p; the unmarked p beside it stays.
+    minor1 = nd.or_i1(nd.Assume(P, "u"), Q)
+    minor2 = nd.or_i2(nd.Assume(Q, "v"), P)
+    discharging = nd.or_e(nd.Assume(parse("p | q")), minor1, minor2, "u", "v")
+    opens, conc = judgement(nd.and_i(nd.Assume(P), discharging))
+    assert conc == "p & (p | q)"
+    assert opens == ["p", "p | q"]
+
+
 def test_vacuous_discharge_allowed():
     proof = nd.or_e(nd.Assume(parse("p | q")), nd.Assume(parse("r")),
                     nd.Assume(parse("r")), "u", "v")
