@@ -4,8 +4,10 @@ and Frozen, the immutable record those nodes and the proof records share.
 Constructing a node equal to one that is alive returns that node, so equal
 nodes are one object: == is identity and the hash is the identity hash, both
 O(1) however deep the node.  A node type's __new__ keys TABLE by the type and
-the identities of the operands (or by plain values such as a variable's
-name), which the node holds alive, so a key names at most one live node:
+the operands themselves (or by plain values such as a variable's name).
+Operands hash and compare by identity, so a key names at most one live node.
+A key holds its operands, as its node does, until the node dies; keying by
+their id()s instead would cost an int object for each:
 
     node = TABLE.get(key, absent)()
     if node is None:

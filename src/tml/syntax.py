@@ -99,7 +99,7 @@ class _Unary(Formula):
     __match_args__ = ("body",)
 
     def __new__(cls, body):
-        key = (cls, id(body))
+        key = (cls, body)
         node = TABLE.get(key, absent)()
         if node is None:
             node = object.__new__(cls)
@@ -113,7 +113,7 @@ class _Binary(Formula):
     __match_args__ = ("left", "right")
 
     def __new__(cls, left, right):
-        key = (cls, id(left), id(right))
+        key = (cls, left, right)
         node = TABLE.get(key, absent)()
         if node is None:
             node = object.__new__(cls)

@@ -49,7 +49,7 @@ class SignedFormula(Interned):
         # signed formulas are new, and calling out for them costs about 4 %
         # of their latency.  The test that checks both against a reference
         # is test_cached_kind_matches_the_reference.
-        key = sign, id(formula)
+        key = sign, formula
         node = TABLE.get(key, absent)()
         if node is None:
             if sign not in ("T", "F"):
@@ -308,7 +308,7 @@ class Branch:
             if kind is _CLOSES:
                 return self._close(mask, sf, None)
             if mask & other:
-                complement = TABLE.get(("F" if sf.sign == "T" else "T", id(sf.formula)), absent)()
+                complement = TABLE.get(("F" if sf.sign == "T" else "T", sf.formula), absent)()
                 return self._close(mask, sf, complement)
             if kind is _EXPANDS:
                 self.pending.append(sf)
@@ -453,20 +453,135 @@ def _pick_rule(sf, branch, system, expansions):
     return expansions[sf]
 
 
-class Proved:
-    __slots__ = ("tableau",)
+def _refute(root, system):
+    """The formulas of the leftmost open branch of complete([root], system),
+    in the order complete() adds them, or None when every branch closes.
+
+    The search runs complete()'s branches in complete()'s order, without
+    building nodes, and backjumps.  Each signed formula on the path carries
+    a dependency mask with a bit for each split whose choice it rests on:
+    alternative k of a split at depth L gives what it adds its principal's
+    mask plus bit L, and a row with one alternative passes the principal's
+    mask on.  A closure's mask joins those of the formulas that close it.
+    When an alternative closes without bit L, the formulas before the split
+    that the closure rests on are unsatisfiable by themselves, so the other
+    alternatives would close too and are skipped.  When every alternative
+    closes, the split closes with the union of their masks less bit L.
+    Skipped alternatives hold no open branch, so the open branch found is
+    complete()'s.
+
+    One path is kept at a time.  `trail` lists its signed formulas, `mask`
+    has their bits, numbered in `slots` as in Branch.extend, and `queue`
+    holds each formula that awaits expansion followed by its dependency
+    mask, from `head` on.  A choice point saves what undoes a split:
+    truncating `queue` and `trail` and restoring `mask` and `head`.  Entries
+    of `deps` for bits that `mask` lacks are stale and never read."""
+    expansions = _Expansions(system)
+    slots, deps, queue, trail, choices = {}, {}, [], [], []
+    mask = head = 0
+    alternative, dep = (root,), 0
+    while True:
+        closure = None
+        for sf in alternative:
+            pair = slots.get(sf.formula)
+            if pair is None:
+                pair = slots[sf.formula] = 1 << 2 * len(slots)
+            bit, other = (pair, pair << 1) if sf.sign == "T" else (pair << 1, pair)
+            if mask & bit:
+                continue
+            mask |= bit
+            deps[bit] = dep
+            trail.append(sf)
+            kind = sf._kind
+            if kind is _CLOSES:
+                closure = dep
+                break
+            if mask & other:
+                closure = dep | deps[other]
+                break
+            if kind is _EXPANDS:
+                queue += sf, dep
+        if closure is None:
+            if head == len(queue):
+                return trail
+            sf, dep = queue[head], queue[head + 1]
+            head += 2
+            alternatives = expansions[sf][0]
+            if len(alternatives) > 1:
+                dep |= 1 << len(choices)
+                choices.append([alternatives, 1, dep, 0, mask, head, len(queue), len(trail)])
+            alternative = alternatives[0]
+            continue
+        # Close splits from the deepest up until one has an alternative
+        # left that the closure depends on.
+        while choices:
+            depth = len(choices) - 1
+            choice = choices[-1]
+            alternatives, k, dep, union, mask, head, length, added = choice
+            if closure >> depth & 1:
+                closure |= union
+                if k < len(alternatives):
+                    choice[1], choice[3] = k + 1, closure
+                    del queue[length:], trail[added:]
+                    alternative = alternatives[k]
+                    break
+                closure &= ~(1 << depth)
+            choices.pop()
+        else:
+            return None
+
+
+class _Deferred:
+    """The complete() call that stands for a verdict's tableau until the
+    tableau is read."""
+
+    __slots__ = ("formula", "system")
+
+    def __init__(self, formula, system):
+        self.formula = formula
+        self.system = system
+
+    def build(self):
+        return complete([F(self.formula)], self.system, stop_on_open=True)
+
+
+class _Verdict:
+    __slots__ = ("_tableau",)
+
+    @property
+    def tableau(self):
+        """The finished tableau with stop_on_open.  decide() without rng or
+        derived rules builds it with complete() on first read."""
+        if type(self._tableau) is _Deferred:
+            self._built(self._tableau.build())
+        return self._tableau
+
+    def _built(self, tableau):
+        self._tableau = tableau
+
+
+class Proved(_Verdict):
+    __slots__ = ()
 
     def __init__(self, tableau):
-        self.tableau = tableau
+        self._tableau = tableau
 
 
-class Refuted:
-    __slots__ = ("model", "branch", "tableau")
+class Refuted(_Verdict):
+    """`branch` is the open branch the model is read from.  Until `tableau`
+    is built it is a Branch over one Node whose `added` lists the branch's
+    formulas; from then on it is that tableau's open branch."""
+
+    __slots__ = ("model", "branch")
 
     def __init__(self, model, branch, tableau):
         self.model = model
         self.branch = branch
-        self.tableau = tableau
+        self._tableau = tableau
+
+    def _built(self, tableau):
+        self._tableau = tableau
+        self.branch = tableau.open_branches()[0]
 
 
 @_collector_paused
@@ -477,16 +592,29 @@ def decide(f, system, derived=False, rng=None):
     countermodel is read off (Refuted).  Raises InvariantViolation if f takes
     the value 1 under that countermodel.
 
+    Without rng and derived rules the verdict comes from _refute's search,
+    and complete() builds the tableau only when the verdict's `tableau` is
+    read.  With either, complete() builds it first: an rng would draw fewer
+    numbers in a pruned search, and derived rules mark used formulas per
+    branch, which the search does not track.
+
     The cycle collector is paused for the whole call, translation and model
     extraction included: none of it builds reference cycles, so its passes
     would find nothing.  It is switched back on at the end only if it was on
     at the start; a gc.disable() made in another thread meanwhile is undone
     then."""
     g = translate(f, system)
-    tableau = complete([F(g)], system, derived=derived, rng=rng, stop_on_open=True)
-    if tableau.closed:
-        return Proved(tableau)
-    branch = tableau.open_branches()[0]
+    if rng is None and not derived:
+        tableau = _Deferred(g, system)
+        trail = _refute(F(g), system)
+        if trail is None:
+            return Proved(tableau)
+        branch = Branch(Node(trail))
+    else:
+        tableau = complete([F(g)], system, derived=derived, rng=rng, stop_on_open=True)
+        if tableau.closed:
+            return Proved(tableau)
+        branch = tableau.open_branches()[0]
     model = extract_model(branch, names=variables(g))
     if evaluate(f, model) == ONE:
         raise InvariantViolation(f"countermodel {model} gives {render(f)} the value 1")

@@ -32,7 +32,7 @@ from tml.syntax import (
     render,
     translate,
 )
-from tml.tableau import Proved, decide
+from tml.tableau import Proved, Refuted, decide
 
 DEPTH = 10_000
 P, Q = Var("p"), Var("q")
@@ -117,6 +117,24 @@ def test_decide_on_a_proved_input():
     with few_frames():
         verdict = decide(f, Signature.SUCC)
     assert type(verdict) is Proved
+
+
+def balanced_and(parts):
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return And(balanced_and(parts[:half]), balanced_and(parts[half:]))
+
+
+def test_decide_on_a_refuted_input_with_thousands_of_splits():
+    # F(~[]a) puts T(a) and F(~a) on the branch, so each p_i | q_i splits
+    # twice: about 4,000 splits on the open path, all of them kept.
+    n = 2_000
+    f = Neg(Box(balanced_and([Or(Var(f"p{i}"), Var(f"q{i}")) for i in range(n)])))
+    with few_frames():
+        verdict = decide(f, Signature.FULL)
+    assert type(verdict) is Refuted
+    assert len(verdict.model) == 2 * n
 
 
 def or_e_chain(leaf, tag, depth=DEPTH):

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from helpers import random_formula
-from tml import hashcons, tableau
+from tml import cli, hashcons, tableau
 from tml.errors import InvariantViolation
 from tml.semantics import consequence, evaluate, valid, valuations
 from tml.syntax import (
@@ -321,6 +321,54 @@ def test_worst_known_input_is_pinned():
     branches = result.tableau.branches
     assert (len(branches), sum(b.closed for b in branches)) == (35399, 35398)
     assert result.branch is branches[-1]
+
+
+def test_decide_refutes_the_largest_full_tree_without_it():
+    """complete() needs 181,076 branches for this formula in the full
+    system; the open branch it ends on gives this model."""
+    result = decide(parse("((q > q) > s > s) > ~~p"), Signature.FULL)
+    assert isinstance(result, Refuted)
+    assert result.model == {"p": "0", "q": "0", "s": "n"}
+
+
+def _differential_pool():
+    for f in succ_formulas_by_degree(6):
+        for system in Signature:
+            yield f, system
+    rng = random.Random(20261020)
+    for _ in range(500):
+        yield random_formula(rng, names=("p", "q", "r", "s"), depth=4, ops="full"), Signature.FULL
+
+
+def test_decide_matches_the_finished_tableau():
+    """decide's search against complete() with stop_on_open: the same
+    verdict, and for a refutation the same open branch and model."""
+    for f, system in _differential_pool():
+        g = translate(f, system)
+        result = decide(f, system)
+        tab = complete([F(g)], system, stop_on_open=True)
+        assert isinstance(result, Proved) == tab.closed, (render(f), system)
+        if isinstance(result, Refuted):
+            branch = tab.open_branches()[0]
+            assert result.branch.formulas == branch.formulas, (render(f), system)
+            assert result.model == extract_model(branch, names=variables(g)), (render(f), system)
+
+
+def test_decide_builds_no_tableau_until_it_is_read(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete() was called")
+
+    monkeypatch.setattr(tableau, "complete", refuse)
+    assert cli.main(["prove", "--system", "succ", "p > p"]) == 0
+    assert cli.main(["prove", "--system", "full", "[]<>p > <>[]p"]) == 1
+    capsys.readouterr()
+    proved = decide(parse("p > p"), Signature.SUCC)
+    refuted = decide(parse("[]<>p > <>[]p"), Signature.FULL)
+    assert isinstance(proved, Proved) and isinstance(refuted, Refuted)
+    assert refuted.branch.formulas[0] is F(translate(parse("[]<>p > <>[]p"), Signature.FULL))
+    for verdict in (proved, refuted):
+        with pytest.raises(AssertionError, match="complete"):
+            verdict.tableau
 
 
 def test_decide_checks_its_countermodel(monkeypatch):
@@ -826,7 +874,7 @@ def _key(sign, formula):
     """The TABLE key of sign(formula), the reference SignedFormula.__new__
     inlines.  Keys of formulas start with a type, so a sign cannot collide
     with them."""
-    return sign, id(formula)
+    return sign, formula
 
 
 def test_cached_kind_matches_the_reference():
