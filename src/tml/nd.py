@@ -20,6 +20,7 @@ from .errors import InvariantViolation
 from .hashcons import Frozen
 from .syntax import (
     BOT,
+    IN_ND,
     And,
     Bot,
     Box,
@@ -32,7 +33,6 @@ from .syntax import (
     match,
     parse,
     render,
-    subformulas,
 )
 
 
@@ -160,9 +160,6 @@ CUT_E_TAGS = E_TAGS - frozenset(["BotE"])
 # Which premise index each discharge entry scopes over, per rule.
 DISCHARGE_SCOPES = {"OrE": (1, 2), "NegAndE": (1, 2), "BoxI": (1,)}
 
-_ALLOWED_FORMULA_TYPES = frozenset([Var, Bot, Neg, And, Or, Box])
-
-
 def conclusion_of(tree):
     return tree.conclusion if type(tree) is Rule else tree.formula
 
@@ -198,15 +195,22 @@ def _take(done, n):
     return taken
 
 
-def _check_language(f, seen):
-    """Raise SchemaError if f leaves the proof language.  seen holds the
-    formulas already checked in this call, and this one's parts join it."""
-    if f in seen:
+def _check_language(f):
+    """Raise SchemaError if f leaves the proof language, naming its first
+    node outside it in preorder.  f's interning bits say whether it lies
+    inside, and at each node on the way down, which operand holds that
+    first node."""
+    if getattr(f, "_sig", 0) & IN_ND:
         return
-    for g in subformulas(f, seen):
-        if type(g) not in _ALLOWED_FORMULA_TYPES:
+    while True:
+        kind = type(f)
+        if kind is Neg or kind is Box:
+            f = f.body
+        elif kind is And or kind is Or:
+            f = f.right if f.left._sig & IN_ND else f.left
+        else:
             raise SchemaError(
-                f"formula {render(g)} is outside the proof language "
+                f"formula {render(f)} is outside the proof language "
                 "(bot, variables, ~, &, |, [])"
             )
 
@@ -292,7 +296,6 @@ def check(proof):
     conclusion).  Raises SchemaError or DischargeError."""
     marker_formula = {}
     discharged = set()
-    seen = set()
     # No rule discharges an unmarked assumption, so one set holds them all.
     unmarked = set()
 
@@ -346,7 +349,7 @@ def check(proof):
                 done[id(t)] = marked
             results.append(marked)
         elif type(t) is Assume:
-            _check_language(t.formula, seen)
+            _check_language(t.formula)
             if t.marker is None:
                 unmarked.add(t.formula)
                 results.append({})
@@ -354,15 +357,15 @@ def check(proof):
                 note_marker(t.marker, t.formula, "assumption leaf")
                 results.append({t.marker: t.formula})
         elif type(t) is MA:
-            _check_language(t.formula, seen)
+            _check_language(t.formula)
             _expect("MA", "formula", _MA_SHAPE, t.formula, {})
             results.append({})
         elif type(t) is Rule:
             marked = done.get(id(t))
             if marked is None:
-                _check_language(t.conclusion, seen)
+                _check_language(t.conclusion)
                 for _, f in t.discharges:
-                    _check_language(f, seen)
+                    _check_language(f)
                 stack.append((t, len(discharged)))
                 stack.extend((p, None) for p in reversed(t.premises))
             else:
@@ -789,7 +792,7 @@ def _bot_elim(bot_deriv, target, supply):
                 if match(_SCHEMAS[tag][1], target, binding):
                     break
             else:
-                _check_language(target, set())
+                _check_language(target)
                 raise InvariantViolation(f"no bot decomposition for {render(target)}")
             premises = _SCHEMAS[tag][0]
             stack += ((tag, binding), _READY)

@@ -51,6 +51,14 @@ class SignatureError(ValueError):
     """A formula strayed outside the signature an operation is defined on."""
 
 
+# Signature bits.  Each formula's _sig has the bit of each language that
+# holds all of it: the full and succ signatures, and the proof language of
+# tml.nd (bot, variables, ~, &, |, []).  An atom's bits are a class constant;
+# a connective's node takes its operands' bits, ANDed together and with its
+# class's _keeps, when it is interned.
+IN_FULL, IN_SUCC, IN_ND = 1, 2, 4
+
+
 class Formula(Interned):
     """A formula node.  Formulas are interned (see hashcons), so equal
     formulas are one object and == is identity."""
@@ -67,10 +75,12 @@ class _Constant(Formula):
 
 class Bot(_Constant):
     __slots__ = ()
+    _sig = IN_FULL | IN_SUCC | IN_ND
 
 
 class Top(_Constant):
     __slots__ = ()
+    _sig = IN_FULL
 
 
 _CONSTANTS = {kind: object.__new__(kind) for kind in (Bot, Top)}
@@ -81,6 +91,7 @@ TOP = _CONSTANTS[Top]
 class Var(Formula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
+    _sig = IN_FULL | IN_SUCC | IN_ND
 
     def __new__(cls, name):
         key = (cls, name)
@@ -94,31 +105,47 @@ class Var(Formula):
         return node
 
 
+def _not_formula(*operands):
+    """The TypeError for a connective given an operand that is no formula."""
+    bad = next(g for g in operands if not isinstance(g, Formula))
+    return TypeError(f"not a formula: {bad!r}")
+
+
 class _Unary(Formula):
-    __slots__ = ("body",)
+    __slots__ = ("body", "_sig")
     __match_args__ = ("body",)
 
     def __new__(cls, body):
         key = (cls, body)
         node = TABLE.get(key, absent)()
         if node is None:
+            try:
+                sig = body._sig & cls._keeps
+            except AttributeError:
+                raise _not_formula(body) from None
             node = object.__new__(cls)
             _SET_BODY(node, body)
+            _SET_UNARY_SIG(node, sig)
             node = enter(key, node)
         return node
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_sig")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left, right):
         key = (cls, left, right)
         node = TABLE.get(key, absent)()
         if node is None:
+            try:
+                sig = left._sig & right._sig & cls._keeps
+            except AttributeError:
+                raise _not_formula(left, right) from None
             node = object.__new__(cls)
             _SET_LEFT(node, left)
             _SET_RIGHT(node, right)
+            _SET_BINARY_SIG(node, sig)
             node = enter(key, node)
         return node
 
@@ -126,43 +153,48 @@ class _Binary(Formula):
 # Slot setters, bypassing the __setattr__ that makes fields read-only.
 _SET_NAME = Var.name.__set__
 _SET_BODY = _Unary.body.__set__
+_SET_UNARY_SIG = _Unary._sig.__set__
 _SET_LEFT = _Binary.left.__set__
 _SET_RIGHT = _Binary.right.__set__
+_SET_BINARY_SIG = _Binary._sig.__set__
 
 
 class Neg(_Unary):
     __slots__ = ()
+    _keeps = IN_FULL | IN_SUCC | IN_ND
 
 
 class Box(_Unary):
     __slots__ = ()
+    _keeps = IN_FULL | IN_ND
 
 
 class Dia(_Unary):
     __slots__ = ()
+    _keeps = 0
 
 
 class And(_Binary):
     __slots__ = ()
+    _keeps = IN_FULL | IN_ND
 
 
 class Or(_Binary):
     __slots__ = ()
+    _keeps = IN_FULL | IN_ND
 
 
 class Succ(_Binary):
     """The strong implication, written > in concrete syntax."""
 
     __slots__ = ()
+    _keeps = IN_SUCC
 
 
 class Signature(enum.Enum):
     FULL = "full"
     SUCC = "succ"
 
-
-_FULL_TYPES = frozenset([Var, Bot, Top, Neg, And, Or, Box])
-_SUCC_TYPES = frozenset([Var, Bot, Neg, Succ])
 
 _ATOMS = frozenset([Var, Bot, Top])
 _UNARY = frozenset([Neg, Box, Dia])
@@ -173,8 +205,10 @@ SYMBOLS = {Neg: "~", Box: "[]", Dia: "<>", And: "&", Or: "|", Succ: ">"}
 
 
 def in_signature(f, sig):
-    types = _FULL_TYPES if sig is Signature.FULL else _SUCC_TYPES
-    return all(type(g) in types for g in subformulas(f))
+    """Whether every node of f lies in the signature sig.  O(1): it reads
+    the bits f got when it was interned.  A non-formula lies in none."""
+    bit = IN_FULL if sig is Signature.FULL else IN_SUCC
+    return bool(getattr(f, "_sig", 0) & bit)
 
 
 def subformulas(f, seen=None):
@@ -555,9 +589,12 @@ def entailment(premises, conclusion):
 
 def translate(f, target):
     """Rewrite f into the target signature, preserving its value under every
-    valuation."""
+    valuation.  A formula already in the target signature is returned as it
+    is, as the fold would rebuild it."""
     if target not in _TRANSLATIONS:
         raise ValueError(f"unknown signature {target!r}")
+    if in_signature(f, target):
+        return f
     return _fold(f, _TRANSLATIONS[target])
 
 

@@ -6,12 +6,14 @@ determined by one bit, rules also constrain negated formulas: T(~f) pins f
 into {0, b} and F(~f) pins f into {1, n}.
 
 The succ-signature calculus works on {>, ~} formulas, the full-signature one
-on {&, |, ~, []}.  decide() translates its input first, so callers can hand
-either calculus an arbitrary formula.
+on {&, |, ~, []}.  decide() translates an input outside the calculus's
+signature first, so callers can hand either calculus an arbitrary formula;
+an input already inside it is decided as it is.
 """
 
 import functools
 import gc
+import itertools
 
 from .algebra import DESIGNATED, ONE, VALUES
 from .errors import InvariantViolation
@@ -176,11 +178,16 @@ _KINDS = {
 }
 
 # The values a signed literal over a variable allows it, keyed by the sign
-# and the literal's shape.
+# and whether the variable is negated; and the least member of each
+# nonempty set of values, in the order of VALUES.
 _ALLOWED = {
-    (sf.sign, *_shape(sf.formula)): frozenset(v for v in VALUES if satisfies({"a": v}, sf))
+    (sf.sign, type(sf.formula) is Neg): frozenset(v for v in VALUES if satisfies({"a": v}, sf))
     for f in (Var("a"), Neg(Var("a"))) for sf in (T(f), F(f))
 }
+_ANY = frozenset(VALUES)
+_LEAST = {frozenset(values): values[0]
+          for size in range(1, len(VALUES) + 1)
+          for values in itertools.combinations(VALUES, size)}
 
 
 def _rule(sf, system):
@@ -635,20 +642,23 @@ def extract_model(branch, names=()):
         raise ValueError("cannot extract a model from a closed branch")
     constraints = {}
     for sf in branch.formulas:
-        kind, under = _shape(sf.formula)
-        allowed = _ALLOWED.get((sf.sign, kind, under))
-        if allowed is None:
+        if sf._kind is not _LITERAL:
             continue
-        atom = sf.formula.body if under is Var else sf.formula
-        constraints[atom.name] = constraints.get(atom.name, frozenset(VALUES)) & allowed
+        atom = sf.formula
+        negated = type(atom) is Neg
+        if negated:
+            atom = atom.body
+        if type(atom) is Var:
+            name = atom.name
+            constraints[name] = constraints.get(name, _ANY) & _ALLOWED[sf.sign, negated]
     model = {}
-    for name in sorted(set(names) | set(constraints)):
-        allowed = constraints.get(name, frozenset(VALUES))
-        if not allowed:
+    for name in sorted(constraints.keys() | names):
+        least = _LEAST.get(constraints.get(name, _ANY))
+        if least is None:
             raise InvariantViolation(
                 f"open branch forces contradictory values for {name!r}"
             )
-        model[name] = next(v for v in VALUES if v in allowed)
+        model[name] = least
     return model
 
 

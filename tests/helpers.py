@@ -1,8 +1,29 @@
-"""Seeded random formula generators shared across the test modules, and a
-reference cut analysis for natural deduction proofs."""
+"""Seeded random formula generators shared across the test modules, and
+references for what the library computes faster: a formula's signature
+bits, countermodel extraction and the cut analysis of natural deduction
+proofs."""
 
-from tml import nd
-from tml.syntax import BOT, TOP, And, Box, Dia, Neg, Or, Succ, Var, complexity
+from tml import nd, tableau
+from tml.algebra import VALUES
+from tml.errors import InvariantViolation
+from tml.syntax import (
+    BOT,
+    IN_FULL,
+    IN_ND,
+    IN_SUCC,
+    TOP,
+    And,
+    Bot,
+    Box,
+    Dia,
+    Neg,
+    Or,
+    Succ,
+    Top,
+    Var,
+    complexity,
+    subformulas,
+)
 
 FULL_OPS = ("neg", "box", "dia", "and", "or")
 SUCC_OPS = ("neg", "succ")
@@ -97,3 +118,41 @@ def reference_analyze(proof):
     cutrank = max((complexity(s.formula) for s in cuts), default=0)
     critical = tuple(s for s in cuts if complexity(s.formula) == cutrank)
     return nd.CutReport(tuple(segments), tuple(cuts), cutrank, critical)
+
+
+# The node types of each language, keyed by its signature bit.
+LANGUAGE_TYPES = {
+    IN_FULL: frozenset([Var, Bot, Top, Neg, And, Or, Box]),
+    IN_SUCC: frozenset([Var, Bot, Neg, Succ]),
+    IN_ND: frozenset([Var, Bot, Neg, And, Or, Box]),
+}
+
+
+def reference_sig(f):
+    """f's signature bits by a walk: a language's bit is set when every
+    distinct node of f has one of its types."""
+    return sum(bit for bit, types in LANGUAGE_TYPES.items()
+               if all(type(g) in types for g in subformulas(f)))
+
+
+def reference_extract_model(branch, names=()):
+    """tableau.extract_model as a plain loop: each signed formula over a
+    variable or a negated variable narrows that variable to the values that
+    satisfy it, and each variable takes the first value of VALUES left."""
+    if branch.closed:
+        raise ValueError("cannot extract a model from a closed branch")
+    constraints = {}
+    for sf in branch.formulas:
+        f = sf.formula
+        atom = f.body if type(f) is Neg else f
+        if type(atom) is not Var:
+            continue
+        allowed = frozenset(v for v in VALUES if tableau.satisfies({atom.name: v}, sf))
+        constraints[atom.name] = constraints.get(atom.name, frozenset(VALUES)) & allowed
+    model = {}
+    for name in sorted(set(names) | set(constraints)):
+        allowed = constraints.get(name, frozenset(VALUES))
+        if not allowed:
+            raise InvariantViolation(f"open branch forces contradictory values for {name!r}")
+        model[name] = next(v for v in VALUES if v in allowed)
+    return model

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from helpers import LANGUAGE_TYPES
 from proofgen import (
     DETOUR_KINDS,
     MarkerSupply,
@@ -17,7 +18,21 @@ from proofgen import (
 from tml import nd
 from tml.errors import InvariantViolation
 from tml.semantics import consequence
-from tml.syntax import And, Bot, Box, Neg, Or, ParseError, Var, complexity, parse, render
+from tml.syntax import (
+    IN_ND,
+    TOP,
+    And,
+    Bot,
+    Box,
+    Neg,
+    Or,
+    ParseError,
+    Var,
+    complexity,
+    parse,
+    render,
+    subformulas,
+)
 
 P = Var("p")
 Q = Var("q")
@@ -100,6 +115,29 @@ def test_language_guard(text):
         nd.check(nd.Assume(f))
     with pytest.raises(nd.SchemaError):
         nd.check(nd.bot_e(nd.Assume(Bot()), f))
+
+
+def _nested(f, depth):
+    """f under depth proof-language connectives."""
+    wrappers = (Neg, Box, lambda a: And(a, Q), lambda a: Or(P, a))
+    for i in range(depth):
+        f = wrappers[i % len(wrappers)](f)
+    return f
+
+
+@pytest.mark.parametrize("depth", [0, 1, 50])
+def test_language_error_names_the_leftmost_part(depth):
+    left, right = _nested(parse("<>p"), depth), _nested(TOP, depth)
+    cases = [(And(left, right), "<>p"), (_nested(And(left, right), depth), "<>p"),
+             (Or(_nested(P, depth), right), "top")]
+    for f, named in cases:
+        first = next(g for g in subformulas(f) if type(g) not in LANGUAGE_TYPES[IN_ND])
+        assert render(first) == named
+        message = (f"formula {named} is outside the proof language "
+                   "(bot, variables, ~, &, |, [])")
+        for proof in (nd.Assume(f), nd.Rule("AndE1", f, (nd.Assume(And(f, Q)),))):
+            with pytest.raises(nd.SchemaError, match=f"^{re.escape(message)}$"):
+                nd.check(proof)
 
 
 # --- checking: every rule schema ----------------------------------------------

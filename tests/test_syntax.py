@@ -7,11 +7,14 @@ import weakref
 
 import pytest
 
-from helpers import random_formula
-from tml import hashcons, syntax
+from helpers import random_formula, reference_sig
+from tml import hashcons, nd, syntax, tableau
 from tml.semantics import evaluate, valuations
 from tml.syntax import (
     BOT,
+    IN_FULL,
+    IN_ND,
+    IN_SUCC,
     MAX_DEPTH,
     TOP,
     And,
@@ -223,6 +226,115 @@ def test_translate_preserves_value_and_lands_in_signature():
 def test_translate_fixes_formulas_already_in_signature():
     assert translate(parse("[](p & ~q) | bot"), Signature.FULL) == parse("[](p & ~q) | bot")
     assert translate(parse("~(p > q) > bot"), Signature.SUCC) == parse("~(p > q) > bot")
+
+
+# --- signature bits ----------------------------------------------------------
+
+
+def _bits_pool():
+    """Random formulas over every connective, top and <> included, each with
+    its translations into both signatures."""
+    rng = random.Random(2323)
+    for ops in ("mixed", "full", "succ"):
+        for _ in range(200):
+            f = random_formula(rng, names=("p", "q"), depth=5, ops=ops)
+            yield f
+            for sig in Signature:
+                yield translate(f, sig)
+
+
+def _assert_bits(f):
+    expected = reference_sig(f)
+    assert f._sig == expected, render(f)
+    assert in_signature(f, Signature.FULL) == bool(expected & IN_FULL), render(f)
+    assert in_signature(f, Signature.SUCC) == bool(expected & IN_SUCC), render(f)
+
+
+def test_signature_bits_match_the_walk():
+    seen = set()
+    for f in _bits_pool():
+        _assert_bits(f)
+        seen.add(f._sig)
+    assert seen == {0, IN_FULL, IN_SUCC, IN_FULL | IN_ND, IN_FULL | IN_SUCC | IN_ND}
+
+
+def test_nodes_built_at_import_carry_their_bits():
+    # The rule patterns, parsed when their modules were imported; parse
+    # returns those very nodes while the modules hold them.
+    schemas = [g for premises, conclusion, discharges in nd._SCHEMAS.values()
+               for g in (*premises, conclusion, *discharges)]
+    assert all(f._sig & IN_ND for f in schemas)
+    patterns = {system: [parse(text) for (_, principal), alternatives in rows.items()
+                         for text in (principal, *(item[2:] for alt in alternatives for item in alt))]
+                for system, rows in tableau._RULES.items()}
+    patterns[Signature.SUCC] += [parse(text) for text in tableau._PAIR] + [
+        parse(item[2:]) for alternatives in tableau._DERIVED_RULES.values()
+        for alt in alternatives for item in alt]
+    for system, formulas in patterns.items():
+        assert all(in_signature(f, system) for f in formulas)
+        for f in schemas + formulas:
+            for g in subformulas(f):
+                _assert_bits(g)
+
+
+def test_deep_formulas_carry_their_bits():
+    # Far deeper than parse() accepts: the bits are set as each node is
+    # built, with no walk.
+    steps = {
+        "full": (Neg, Box, lambda a: And(a, q), lambda a: Or(p, a)),
+        "succ": (Neg, lambda a: Succ(a, q), lambda a: Succ(p, a)),
+    }
+    for bottom in (p, TOP, Dia(p)):
+        for ops in steps.values():
+            f = bottom
+            for i in range(10_000):
+                f = ops[i % len(ops)](f)
+            _assert_bits(f)
+
+
+def _round_trip(text):
+    data = pickle.dumps(parse(text))
+    # The formula is gone, so loads builds it anew.
+    fresh = (Var, "pickled") not in hashcons.TABLE
+    assert fresh
+    f = pickle.loads(data)
+    assert f is parse(text)
+    for g in subformulas(f):
+        _assert_bits(g)
+
+
+def test_bits_survive_a_pickle_round_trip():
+    for text in ("[](pickled & ~q) | bot", "~(pickled > q) > bot", "<>pickled & top",
+                 "~~pickled"):
+        _round_trip(text)
+
+
+def test_connectives_take_formulas_only():
+    before = len(hashcons.TABLE)
+    for build in (lambda: Neg(3), lambda: And(p, "q"), lambda: Succ(None, p),
+                  lambda: Box(tableau.T(p))):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            build()
+    assert len(hashcons.TABLE) == before
+
+
+def test_native_formulas_skip_translation(monkeypatch):
+    pool = list(_bits_pool())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(syntax, "_fold", refuse)
+    native = 0
+    for f in pool:
+        for sig in Signature:
+            if in_signature(f, sig):
+                assert translate(f, sig) is f
+                native += 1
+            else:
+                with pytest.raises(AssertionError, match="folded"):
+                    translate(f, sig)
+    assert native > len(pool) // 2
 
 
 def test_instantiator_agrees_with_match_and_instantiate():

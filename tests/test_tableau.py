@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import itertools
 import pickle
 import random
 import sys
@@ -9,11 +10,14 @@ import weakref
 
 import pytest
 
-from helpers import random_formula
-from tml import cli, hashcons, tableau
+from helpers import random_formula, reference_extract_model
+from tml import cli, hashcons, syntax, tableau
+from tml.algebra import VALUES
 from tml.errors import InvariantViolation
 from tml.semantics import consequence, evaluate, valid, valuations
 from tml.syntax import (
+    BOT,
+    TOP,
     And,
     Bot,
     Box,
@@ -378,6 +382,22 @@ def test_decide_checks_its_countermodel(monkeypatch):
         decide(parse("p | ~p"), Signature.FULL)
 
 
+def test_decide_leaves_native_inputs_untranslated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("translated")
+
+    for system in Signature:
+        steps = dict.fromkeys(syntax._TRANSLATIONS[system], refuse)
+        monkeypatch.setitem(syntax._TRANSLATIONS, system, steps)
+    inputs = {Signature.FULL: (["[]~p | p & ~[]q", "p | ~p", "top"], "p > q"),
+              Signature.SUCC: (["~(p > ~p) > p", "p > p", "bot"], "p & q")}
+    for system, (native, foreign) in inputs.items():
+        for text in native:
+            assert isinstance(decide(parse(text), system), (Proved, Refuted))
+        with pytest.raises(AssertionError, match="translated"):
+            decide(parse(foreign), system)
+
+
 def test_decide_translates_first():
     # mixed-signature input is fine for either system
     for text in ("p & q > q & p", "[]p > p", "<>p | ~p | p"):
@@ -442,6 +462,54 @@ def test_extraction_flags_impossible_constraints():
     branch = Branch(Node(added=[T(P), F(Neg(P)), T(Neg(P))]))
     with pytest.raises(InvariantViolation):
         extract_model(branch)
+
+
+def _same_model(branch, names=()):
+    model = extract_model(branch, names=names)
+    assert list(model.items()) == list(reference_extract_model(branch, names).items())
+
+
+def test_extraction_matches_the_reference_on_open_branches():
+    opened = 0
+    for f, system in _differential_pool():
+        g = translate(f, system)
+        for branch in complete([F(g)], system).open_branches():
+            _same_model(branch, names=variables(g))
+            opened += 1
+    assert opened > 1000
+
+
+def test_extraction_matches_the_reference_on_hand_made_branches():
+    # Branches an engine would not build: constants, formulas still to be
+    # expanded and repeated literals are all on them.
+    signed = [T(Neg(BOT)), F(TOP), T(BOT), F(Neg(BOT)), T(And(P, Q)), F(Neg(Neg(P))),
+              T(Succ(P, Q)), F(Neg(Box(Q))), T(P), T(P), F(Neg(P)), F(Q), F(Q), T(Neg(Q)),
+              F(P)]
+    rng = random.Random(2305)
+    outcomes = set()
+    for size in range(len(signed) + 1):
+        for _ in range(20):
+            branch = Branch(Node(rng.sample(signed, size)))
+            names = rng.choice(((), ["q", "r"], ("p",), {"s", "p"}))
+            try:
+                expected = list(reference_extract_model(branch, names).items())
+            except InvariantViolation:
+                with pytest.raises(InvariantViolation, match="contradictory"):
+                    extract_model(branch, names=names)
+                outcomes.add("contradiction")
+                continue
+            assert list(extract_model(branch, names=names).items()) == expected
+            outcomes.add("model")
+    assert outcomes == {"model", "contradiction"}
+
+
+def test_least_values_cover_every_nonempty_set():
+    sets = [frozenset(c) for k in range(1, 5) for c in itertools.combinations(VALUES, k)]
+    assert len(sets) == len(tableau._LEAST) == 15
+    for allowed in sets:
+        assert tableau._LEAST[allowed] == next(v for v in VALUES if v in allowed)
+    with pytest.raises(InvariantViolation, match="contradictory values for 'p'"):
+        extract_model(Branch(Node([T(P), F(P)])))
 
 
 # --- oracle agreement --------------------------------------------------------
