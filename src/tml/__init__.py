@@ -42,7 +42,6 @@ from .nd import (
     atomize_bot,
     builtin_examples,
     check,
-    convert_at,
     is_normal,
     normalize,
 )

@@ -652,15 +652,14 @@ def _measure(summary):
     return max(summary[_RANK], 0), summary[8]
 
 
-def _critical_segment(summary):
-    """The rightmost critical cut of a summarized proof, as analyze would
-    report it."""
+def _critical_cut(summary):
+    """The start path, flat, and the length of a summarized proof's
+    rightmost critical cut."""
     flat, rest = [], summary[9]
     while rest:
         i, rest = rest
         flat.append(i)
-    flat = tuple(flat)
-    return Segment(summary[11], tuple(flat[:len(flat) - k] for k in range(summary[10])))
+    return tuple(flat), summary[10]
 
 
 def is_normal(proof):
@@ -729,25 +728,6 @@ def _substitute(tree, marker, replacement, supply):
     def leaf(t):
         return _refresh((replacement,), (), supply)[0][0] if t.marker == marker else t
     return _rebuild(tree, leaf, {})
-
-
-def _replace_at(tree, path, new):
-    """tree with the node at path replaced by new: the rules on the path are
-    rebuilt, every other subtree is kept as the same object."""
-    spine = []
-    for i in path:
-        spine.append(tree)
-        tree = tree.premises[i]
-    for t, i in zip(reversed(spine), reversed(path)):
-        new = Rule(t.tag, t.conclusion, t.premises[:i] + (new,) + t.premises[i + 1:],
-                   t.discharges)
-    return new
-
-
-def _node_at(tree, path):
-    for i in path:
-        tree = tree.premises[i]
-    return tree
 
 
 # --- bot atomization ----------------------------------------------------------
@@ -822,41 +802,6 @@ def atomize_bot(proof):
 # --- conversions and normalization ---------------------------------------------
 
 
-def _resolve_cut(proof, cut):
-    report = analyze(proof)
-    if type(cut) is Segment:
-        if cut in report.cuts:
-            return cut
-        raise ValueError(f"segment {cut} is not a cut of this proof")
-    position = tuple(cut)
-    for seg in report.cuts:
-        if seg.positions[0] == position or seg.positions == position:
-            return seg
-    raise ValueError(f"position {position!r} is not a cut")
-
-
-def _classify(proof, seg):
-    """(kind, minor) of the conversion at cut segment seg; minor is the index
-    of the del-rule minor premise with an empty assumption class that a
-    removal keeps, else None."""
-    if seg.length == 1:
-        return "detour", None
-    final = _node_at(proof, seg.positions[-1])
-    for i in (1, 2):
-        marker = final.discharges[i - 1][0]
-        if not any(type(t) is Assume and t.marker == marker
-                   for t in _subtrees(final.premises[i])):
-            return "removal", i
-    return "permutation", None
-
-
-def conversion_kind(proof, cut):
-    """Which transformation convert_at would apply: 'detour' for length-1
-    cuts, 'removal' when the final del-rule has an empty assumption class in
-    a minor premise, 'permutation' otherwise."""
-    return _classify(proof, _resolve_cut(proof, cut))[0]
-
-
 _DETOUR_MINOR = {
     ("NegAndI1", "NegAndE"): 1,
     ("NegAndI2", "NegAndE"): 2,
@@ -874,44 +819,52 @@ _DETOUR_PROJECT = {
 }
 
 
-def _convert(proof, seg, supply):
-    """The proof after the conversion at cut segment seg, and its kind."""
-    kind, minor = _classify(proof, seg)
-    if kind == "detour":
-        intro = _node_at(proof, seg.positions[0])
-        consumer_path = seg.positions[-1][:-1]
-        consumer = _node_at(proof, consumer_path)
-        key = (intro.tag, consumer.tag)
+def _convert(proof, start, length, supply):
+    """The proof after the conversion at the cut that starts at the flat
+    path start and runs through length occurrences, and the conversion's
+    kind: 'detour' for a length-1 cut, 'removal' when the cut's last
+    del-rule has an empty assumption class in a minor premise, else
+    'permutation'.  Only the rules above the replaced node are rebuilt."""
+    # One walk down start, as far as the cut's last occurrence, keeps the
+    # spine; the consumer, whose major premise that occurrence is, stands
+    # just above it.
+    at = len(start) - length
+    spine = [proof]
+    for i in start[:at + 1]:
+        spine.append(spine[-1].premises[i])
+    consumer, final = spine[at], spine[at + 1]
+    if length == 1:
+        kind, key = "detour", (final.tag, consumer.tag)
         if key in _DETOUR_PROJECT:
-            replacement = intro.premises[_DETOUR_PROJECT[key]]
+            new = final.premises[_DETOUR_PROJECT[key]]
         elif key in _DETOUR_MINOR:
             i = _DETOUR_MINOR[key]
-            replacement = _substitute(consumer.premises[i], consumer.discharges[i - 1][0],
-                                      intro.premises[0], supply)
+            new = _substitute(consumer.premises[i], consumer.discharges[i - 1][0],
+                              final.premises[0], supply)
         else:
             raise InvariantViolation(f"no detour for {key}")
-        return _replace_at(proof, consumer_path, replacement), kind
-    final_path = seg.positions[-1]
-    final = _node_at(proof, final_path)
-    if kind == "removal":
-        return _replace_at(proof, final_path, final.premises[minor]), kind
-    consumer_path = final_path[:-1]
-    consumer = _node_at(proof, consumer_path)
-    # Each minor premise of final takes the consumer's other premises and
-    # discharges: the first the originals, the second a renamed copy.
-    units = ((consumer.premises[1:], consumer.discharges),
-             _refresh(consumer.premises[1:], consumer.discharges, supply))
-    pushed = tuple(Rule(consumer.tag, consumer.conclusion, (minor, *trees), discharges)
-                   for minor, (trees, discharges) in zip(final.premises[1:], units))
-    replacement = Rule(final.tag, consumer.conclusion, (final.premises[0], *pushed),
-                       final.discharges)
-    return _replace_at(proof, consumer_path, replacement), kind
-
-
-def convert_at(proof, cut):
-    """Apply one conversion step at the given cut (a Segment from analyze,
-    or the start position of one).  Raises ValueError if it is not a cut."""
-    return _convert(proof, _resolve_cut(proof, cut), _fresh_markers(proof))[0]
+    else:
+        for i in (1, 2):
+            marker = final.discharges[i - 1][0]
+            if not any(type(t) is Assume and t.marker == marker
+                       for t in _subtrees(final.premises[i])):
+                kind, new = "removal", final.premises[i]
+                at += 1
+                break
+        else:
+            # Each minor premise of final takes the consumer's other premises
+            # and discharges: the first the originals, the second a renamed
+            # copy.
+            units = ((consumer.premises[1:], consumer.discharges),
+                     _refresh(consumer.premises[1:], consumer.discharges, supply))
+            pushed = tuple(Rule(consumer.tag, consumer.conclusion, (minor, *trees), discharges)
+                           for minor, (trees, discharges) in zip(final.premises[1:], units))
+            kind, new = "permutation", Rule(final.tag, consumer.conclusion,
+                                            (final.premises[0], *pushed), final.discharges)
+    for t, i in zip(reversed(spine[:at]), reversed(start[:at])):
+        new = Rule(t.tag, t.conclusion, t.premises[:i] + (new,) + t.premises[i + 1:],
+                   t.discharges)
+    return new, kind
 
 
 def normalize(proof, observer=None):
@@ -931,8 +884,8 @@ def normalize(proof, observer=None):
         observer({"step": 0, "kind": "atomize", "formula": None, "measure": measure})
     step = 1
     while summary[_RANK] >= 0:
-        seg = _critical_segment(summary)
-        result, kind = _convert(result, seg, _fresh_markers(result))
+        formula = summary[11]
+        result, kind = _convert(result, *_critical_cut(summary), _fresh_markers(result))
         summary = _summarize(result, memo, ranks)
         new_measure = _measure(summary)
         if not new_measure < measure:
@@ -942,7 +895,7 @@ def normalize(proof, observer=None):
             )
         if observer is not None:
             observer({"step": step, "kind": kind,
-                      "formula": render(seg.formula), "measure": new_measure})
+                      "formula": render(formula), "measure": new_measure})
         measure = new_measure
         step += 1
     return result

@@ -206,8 +206,14 @@ SYMBOLS = {Neg: "~", Box: "[]", Dia: "<>", And: "&", Or: "|", Succ: ">"}
 
 def in_signature(f, sig):
     """Whether every node of f lies in the signature sig.  O(1): it reads
-    the bits f got when it was interned.  A non-formula lies in none."""
-    bit = IN_FULL if sig is Signature.FULL else IN_SUCC
+    the bits f got when it was interned.  A non-formula lies in none.
+    Raises ValueError if sig is not a Signature."""
+    if sig is Signature.FULL:
+        bit = IN_FULL
+    elif sig is Signature.SUCC:
+        bit = IN_SUCC
+    else:
+        raise ValueError(f"unknown signature {sig!r}")
     return bool(getattr(f, "_sig", 0) & bit)
 
 
@@ -590,9 +596,8 @@ def entailment(premises, conclusion):
 def translate(f, target):
     """Rewrite f into the target signature, preserving its value under every
     valuation.  A formula already in the target signature is returned as it
-    is, as the fold would rebuild it."""
-    if target not in _TRANSLATIONS:
-        raise ValueError(f"unknown signature {target!r}")
+    is, as the fold would rebuild it.  Raises ValueError if target is not a
+    Signature."""
     if in_signature(f, target):
         return f
     return _fold(f, _TRANSLATIONS[target])

@@ -1,7 +1,7 @@
-"""Seeded random formula generators shared across the test modules, and
+"""Seeded random formula generators shared across the test modules,
 references for what the library computes faster: a formula's signature
 bits, countermodel extraction and the cut analysis of natural deduction
-proofs."""
+proofs, and one conversion step at a cut that nd.analyze reports."""
 
 from tml import nd, tableau
 from tml.algebra import VALUES
@@ -118,6 +118,12 @@ def reference_analyze(proof):
     cutrank = max((complexity(s.formula) for s in cuts), default=0)
     critical = tuple(s for s in cuts if complexity(s.formula) == cutrank)
     return nd.CutReport(tuple(segments), tuple(cuts), cutrank, critical)
+
+
+def convert_at(proof, cut):
+    """The (proof, kind) of one conversion step at cut, a cut segment of
+    nd.analyze(proof)."""
+    return nd._convert(proof, cut.positions[0], cut.length, nd._fresh_markers(proof))
 
 
 # The node types of each language, keyed by its signature bit.

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from helpers import convert_at
 from tml import nd
 from tml.algebra import VALUES
 from tml.semantics import evaluate
@@ -187,7 +188,7 @@ def test_analyze_and_convert_at():
     proof = or_e_chain(nd.and_e1(nd.and_i(nd.assume(P), nd.assume(Q))), "x", depth)
     with few_frames():
         report = nd.analyze(proof)
-        converted = nd.convert_at(proof, report.cuts[0])
+        converted, _ = convert_at(proof, report.cuts[0])
         same = converted == or_e_chain(nd.assume(P), "x", depth)
     assert len(report.segments) == 2 * depth + 4 and len(report.cuts) == 1
     assert same

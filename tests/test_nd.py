@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import LANGUAGE_TYPES
+from helpers import LANGUAGE_TYPES, convert_at
 from proofgen import (
     DETOUR_KINDS,
     MarkerSupply,
@@ -541,9 +541,9 @@ def test_atomize_leaves_only_literal_bot_eliminations():
 
 def test_detour_projection():
     proof = nd.and_e1(nd.and_i(nd.Assume(P), nd.Assume(Q)))
-    assert nd.convert_at(proof, nd.analyze(proof).cuts[0]) == nd.Assume(P)
+    assert convert_at(proof, nd.analyze(proof).cuts[0]) == (nd.Assume(P), "detour")
     proof = nd.neg_neg_e(nd.neg_neg_i(nd.Assume(P)))
-    assert nd.convert_at(proof, ((0,),)) == nd.Assume(P)
+    assert convert_at(proof, nd.analyze(proof).cuts[0]) == (nd.Assume(P), "detour")
 
 
 def test_detour_substitution_hits_every_site():
@@ -551,7 +551,7 @@ def test_detour_substitution_hits_every_site():
     chi = parse("p & q")
     minor = nd.and_e1(nd.and_i(nd.Assume(chi, "u"), nd.Assume(chi, "u")))
     proof = nd.or_e(nd.or_i1(d, parse("r")), minor, nd.Assume(chi), "u", "v")
-    out = nd.convert_at(proof, nd.analyze(proof).cuts[0])
+    out, _ = convert_at(proof, nd.analyze(proof).cuts[0])
     j = nd.check(out)
     assert j.conclusion == chi
     # both assumption sites were replaced by the introduced derivation
@@ -567,7 +567,7 @@ def test_detour_substitution_refreshes_bound_markers():
     minor = nd.and_e1(nd.and_i(nd.Assume(chi, "u"), nd.Assume(chi, "u")))
     proof = nd.or_e(nd.or_i1(d, Q), minor, nd.Assume(chi), "u", "v")
     nd.check(proof)
-    out = nd.convert_at(proof, nd.analyze(proof).cuts[0])
+    out, _ = convert_at(proof, nd.analyze(proof).cuts[0])
     # two copies of the boxed derivation now coexist; check would reject
     # them if the discharging marker had not been renamed per copy
     j = nd.check(out)
@@ -576,7 +576,7 @@ def test_detour_substitution_refreshes_bound_markers():
 
 def test_conversion_kinds():
     proof = nd.and_e1(nd.and_i(nd.Assume(P), nd.Assume(Q)))
-    assert nd.conversion_kind(proof, nd.analyze(proof).cuts[0]) == "detour"
+    assert convert_at(proof, nd.analyze(proof).cuts[0])[1] == "detour"
 
     rng = random.Random(3)
     supply = MarkerSupply("t")
@@ -584,20 +584,12 @@ def test_conversion_kinds():
     perm = inject_permutation(rng, base, supply)
     report = nd.analyze(perm)
     crit = max(report.critical, key=lambda s: s.positions[0])
-    assert nd.conversion_kind(perm, crit) == "permutation"
+    assert convert_at(perm, crit)[1] == "permutation"
 
     rem = inject_removal(rng, base, supply)
     report = nd.analyze(rem)
     crit = max(report.critical, key=lambda s: s.positions[0])
-    assert nd.conversion_kind(rem, crit) == "removal"
-
-
-def test_convert_at_rejects_non_cut():
-    with pytest.raises(ValueError):
-        nd.convert_at(nd.Assume(P), ())
-    proof = nd.and_e1(nd.box_e(nd.Assume(parse("[](p & q)"))))
-    with pytest.raises(ValueError):
-        nd.convert_at(proof, ((0,),))
+    assert convert_at(rem, crit)[1] == "removal"
 
 
 def test_permutation_pushes_elimination_into_minors():
@@ -606,14 +598,29 @@ def test_permutation_pushes_elimination_into_minors():
     major = nd.Assume(parse("(a & (p & q)) | (b & (p & q))"))
     proof = nd.and_e1(nd.or_e(major, minor1, minor2, "u", "v"))
     cut = max(nd.analyze(proof).critical, key=lambda s: s.positions[0])
-    assert nd.conversion_kind(proof, cut) == "permutation"
-    out = nd.convert_at(proof, cut)
+    out, kind = convert_at(proof, cut)
+    assert kind == "permutation"
     assert out.tag == "OrE"
     assert out.premises[1].tag == "AndE1"
     assert out.premises[2].tag == "AndE1"
     j = nd.check(out)
     assert j.conclusion == P
     assert nd.is_normal(out)
+
+
+def test_permutation_renames_the_consumers_markers_in_the_copy():
+    # The consumer is an OrE, whose discharges go with each pushed copy: the
+    # second copy must discharge fresh markers.
+    inner = nd.or_e(nd.Assume(parse("p | q")), nd.or_i1(nd.Assume(P, "u"), Q),
+                    nd.or_i2(nd.Assume(Q, "v"), P), "u", "v")
+    proof = nd.or_e(inner, nd.or_i1(nd.Assume(P, "x"), Q),
+                    nd.or_i2(nd.Assume(Q, "y"), P), "x", "y")
+    cut = max(nd.analyze(proof).critical, key=lambda s: s.positions[0])
+    out, kind = convert_at(proof, cut)
+    assert kind == "permutation"
+    assert [p.discharges for p in out.premises[1:]] == [
+        (("x", P), ("y", Q)), (("m1", P), ("m2", Q))]
+    assert nd.check(out) == nd.check(proof)
 
 
 def test_removal_drops_redundant_elimination():
@@ -623,8 +630,8 @@ def test_removal_drops_redundant_elimination():
     proof = nd.and_e2(nd.or_e(major, nd.and_i(nd.Assume(parse("a")), d),
                               minor2, "u", "v"))
     cut = max(nd.analyze(proof).critical, key=lambda s: s.positions[0])
-    assert nd.conversion_kind(proof, cut) == "removal"
-    out = nd.convert_at(proof, cut)
+    out, kind = convert_at(proof, cut)
+    assert kind == "removal"
     assert out.tag == "AndE2"
     assert out.premises[0].tag == "AndI"
     assert nd.check(out).conclusion == parse("p & q")

@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 
-from helpers import reference_analyze
+from helpers import convert_at, reference_analyze
 from proofgen import random_injected_proof, random_proof
 from tml import hashcons, nd
 from tml.syntax import And, Bot, Box, Neg, Var
@@ -43,10 +43,27 @@ def test_normalization_is_pinned():
         "b362aa9f31143444bdee46fdcfcd8e7ec5e4d8e4cfe79a59e46648795c46954e")
 
 
+def test_every_conversion_is_pinned():
+    """The sha256 of the kind and the result of one conversion at every cut
+    of 200 proofs, 426 conversions: a change to how a step converts that is
+    meant to keep conversions as they are must leave the digest as it is."""
+    digest = hashlib.sha256()
+    conversions = 0
+    for proof in _proof_pool(200):
+        for cut in nd.analyze(proof).cuts:
+            out, kind = convert_at(proof, cut)
+            digest.update(kind.encode())
+            digest.update(repr(out).encode())
+            conversions += 1
+    assert conversions == 426
+    assert digest.hexdigest() == (
+        "ce9b872b68f8180131384cf679a0127b151b4c285ed3e19a6fc5850bd2664d14")
+
+
 def test_analyze_matches_the_reference():
     checked = 0
     for proof in _proof_pool(200):
-        converted = [nd.convert_at(proof, cut) for cut in nd.analyze(proof).cuts]
+        converted = [convert_at(proof, cut)[0] for cut in nd.analyze(proof).cuts]
         for p in [proof] + converted:
             got, want = nd.analyze(p), reference_analyze(p)
             assert got.segments == want.segments
@@ -63,7 +80,7 @@ def _reference_corpus():
     for proof in _proof_pool(200):
         yield proof
         for cut in nd.analyze(proof).cuts:
-            yield nd.convert_at(proof, cut)
+            yield convert_at(proof, cut)[0]
 
 
 def test_summary_and_is_normal_match_analyze():
@@ -76,7 +93,8 @@ def test_summary_and_is_normal_match_analyze():
                                         sum(s.length for s in report.critical))
         if report.critical:
             rightmost = max(report.critical, key=lambda s: s.positions[0])
-            assert nd._critical_segment(summary) == rightmost
+            assert nd._critical_cut(summary) == (rightmost.positions[0], rightmost.length)
+            assert summary[11] == rightmost.formula
         else:
             assert summary[nd._RANK] == -1
         checked += 1
@@ -108,8 +126,8 @@ def test_a_step_summarizes_only_the_nodes_it_built(monkeypatch):
     steps = []
     real = nd._convert
 
-    def convert(proof, seg, supply):
-        out = real(proof, seg, supply)
+    def convert(proof, *rest):
+        out = real(proof, *rest)
         steps.append((proof, out[0], len(made)))
         return out
 

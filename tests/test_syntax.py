@@ -195,6 +195,16 @@ def test_in_signature():
     assert not in_signature(TOP, Signature.SUCC)
 
 
+@pytest.mark.parametrize("sig", ["full", "succ", None, 1])
+def test_in_signature_and_translate_reject_an_unknown_signature(sig):
+    for f in (parse("p & q"), parse("p > q"), parse("p")):
+        for call in (in_signature, translate):
+            with pytest.raises(ValueError) as caught:
+                call(f, sig)
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == f"unknown signature {sig!r}"
+
+
 def test_translate_succ_to_full_shape():
     out = translate(parse("p > q"), Signature.FULL)
     assert render(out) == "(~[]p | q) & (~[]~q | ~p) & (~[](~p | q) | ([]~p | q))"

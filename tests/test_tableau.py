@@ -315,6 +315,17 @@ def test_complete_rejects_out_of_signature_roots():
         complete([F(parse("p > q"))], Signature.FULL)
 
 
+def test_complete_and_decide_reject_an_unknown_signature():
+    # A signature's value is not the signature: "full" is rejected as it
+    # is, not read as Signature.FULL.
+    for text in ("p & q", "p > q", "p"):
+        f = parse(text)
+        with pytest.raises(ValueError, match="^unknown signature 'full'$"):
+            complete([F(f)], "full")
+        with pytest.raises(ValueError, match="^unknown signature 'full'$"):
+            decide(f, "full")
+
+
 def test_worst_known_input_is_pinned():
     """The largest tree any test builds: the full system's translation of a
     small succ formula explores 35,399 branches, of which only the last is
