@@ -32,13 +32,10 @@ from .errors import InvariantViolation
 from .nd import (
     MA,
     Assume,
-    CutReport,
     DischargeError,
     Judgement,
     Rule,
     SchemaError,
-    Segment,
-    analyze,
     atomize_bot,
     builtin_examples,
     check,

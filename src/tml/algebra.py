@@ -18,12 +18,6 @@ VALUES = (ZERO, N, B, ONE)
 
 DESIGNATED = frozenset({B, ONE})
 
-# Lattice order as an explicit relation: n and b sit incomparable between 0 and 1.
-_LEQ_PAIRS = frozenset(
-    [(v, v) for v in VALUES]
-    + [(ZERO, N), (ZERO, B), (ZERO, ONE), (N, ONE), (B, ONE)]
-)
-
 NEG = {ZERO: ONE, N: N, B: B, ONE: ZERO}
 
 BOX = {ZERO: ZERO, N: ZERO, B: ZERO, ONE: ONE}
@@ -68,10 +62,11 @@ def designated(v):
 
 
 def leq(a, b):
-    """Lattice order: a <= b in the four-element lattice."""
+    """Lattice order: a <= b in the four-element lattice, i.e. a is the meet
+    of a and b."""
     _check(a)
     _check(b)
-    return (a, b) in _LEQ_PAIRS
+    return MEET[(a, b)] == a
 
 
 def apply_op(name, *args):

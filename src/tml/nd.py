@@ -48,8 +48,10 @@ class DischargeError(ValueError):
 
 class _Record(Frozen):
     """A frozen record that is not interned: == holds between two records of
-    one exact type with equal fields, and the hash is that of the field
-    tuple.  Each subclass gets a generated __init__."""
+    one exact type with equal fields.  The hash reads the type and only the
+    fields that are neither tuples nor records (a Rule's tag and conclusion,
+    an Assume's formula and marker), so it costs O(1) at any depth.  Each
+    subclass gets a generated __init__."""
 
     __slots__ = ()
 
@@ -87,42 +89,13 @@ class _Record(Frozen):
         return True
 
     def __hash__(self):
-        # hash(_fields(self)), computed bottom-up on an explicit stack so
-        # records of any depth hash: each distinct record or tuple below is
-        # hashed once per call and stands in its parent's tuple as a _Hashed.
-        hashes, stack = {}, [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in hashes:
-                continue
-            parts = node if type(node) is tuple else _fields(node)
-            todo = [p for p in parts if _nests(p) and id(p) not in hashes]
-            if todo:
-                stack += node, *todo
-                continue
-            hashes[id(node)] = hash(tuple(_Hashed(hashes[id(p)]) if _nests(p) else p
-                                          for p in parts))
-        return hashes[id(self)]
+        # __eq__ compares every field, so equal records hash equal.
+        return hash((type(self), *(v for v in _fields(self)
+                                   if type(v) is not tuple and not isinstance(v, _Record))))
 
 
 def _fields(record):
     return tuple(getattr(record, name) for name in record.__match_args__)
-
-
-def _nests(value):
-    return type(value) is tuple or isinstance(value, _Record)
-
-
-class _Hashed:
-    """A stand-in whose hash is a given value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
 
 
 class Assume(_Record, defaults={"marker": None}):

@@ -217,13 +217,10 @@ def in_signature(f, sig):
     return bool(getattr(f, "_sig", 0) & bit)
 
 
-def subformulas(f, seen=None):
+def subformulas(f):
     """Yield f and each distinct subformula once, in preorder: a subformula
-    met again, and so everything under it, is skipped.  A caller that walks
-    several formulas can pass one seen set to skip what earlier walks met."""
-    if seen is None:
-        seen = set()
-    stack = [f]
+    met again, and so everything under it, is skipped."""
+    seen, stack = set(), [f]
     while stack:
         g = stack.pop()
         if g in seen:

@@ -538,29 +538,16 @@ def _refute(root, system):
             return None
 
 
-class _Deferred:
-    """The complete() call that stands for a verdict's tableau until the
-    tableau is read."""
-
-    __slots__ = ("formula", "system")
-
-    def __init__(self, formula, system):
-        self.formula = formula
-        self.system = system
-
-    def build(self):
-        return complete([F(self.formula)], self.system, stop_on_open=True)
-
-
 class _Verdict:
     __slots__ = ("_tableau",)
 
     @property
     def tableau(self):
-        """The finished tableau with stop_on_open.  decide() without rng or
-        derived rules builds it with complete() on first read."""
-        if type(self._tableau) is _Deferred:
-            self._built(self._tableau.build())
+        """The finished tableau with stop_on_open.  When decide() ran its
+        search, it holds a function that builds the tableau with complete(),
+        which is called on first read."""
+        if callable(self._tableau):
+            self._built(self._tableau())
         return self._tableau
 
     def _built(self, tableau):
@@ -599,11 +586,13 @@ def decide(f, system, derived=False, rng=None):
     countermodel is read off (Refuted).  Raises InvariantViolation if f takes
     the value 1 under that countermodel.
 
-    Without rng and derived rules the verdict comes from _refute's search,
-    and complete() builds the tableau only when the verdict's `tableau` is
-    read.  With either, complete() builds it first: an rng would draw fewer
-    numbers in a pruned search, and derived rules mark used formulas per
-    branch, which the search does not track.
+    The verdict comes from _refute's search, and complete() builds the
+    tableau only when the verdict's `tableau` is read.  Only with an rng, or
+    with derived rules in the succ system, does complete() build it first:
+    an rng would draw fewer numbers in a pruned search, and succ's derived
+    rules pair formulas and mark used ones per branch, which the search does
+    not track.  In the full system derived rules pair nothing, so the tree
+    is the one without them.
 
     The cycle collector is paused for the whole call, translation and model
     extraction included: none of it builds reference cycles, so its passes
@@ -611,8 +600,10 @@ def decide(f, system, derived=False, rng=None):
     at the start; a gc.disable() made in another thread meanwhile is undone
     then."""
     g = translate(f, system)
-    if rng is None and not derived:
-        tableau = _Deferred(g, system)
+    if rng is None and not (derived and system is Signature.SUCC):
+        def tableau():
+            return complete([F(g)], system, stop_on_open=True)
+
         trail = _refute(F(g), system)
         if trail is None:
             return Proved(tableau)
@@ -628,10 +619,10 @@ def decide(f, system, derived=False, rng=None):
     return Refuted(model, branch, tableau)
 
 
-def decide_consequence(premises, conclusion, system, derived=False, rng=None):
+def decide_consequence(premises, conclusion, system):
     """Tableau test for "the meet of the premises lies below the conclusion":
     decide syntax.entailment, where > internalizes the order."""
-    return decide(entailment(premises, conclusion), system, derived=derived, rng=rng)
+    return decide(entailment(premises, conclusion), system)
 
 
 def extract_model(branch, names=()):

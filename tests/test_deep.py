@@ -230,8 +230,9 @@ def test_hash_and_repr_of_a_deep_proof():
 
 
 def test_hash_of_a_shared_proof():
-    # Each level uses the one below twice, so the proof has 2**40 paths but
-    # 80 distinct records; each is hashed once.
+    # Each level uses the one below twice, so the proof has 2**40 paths.  A
+    # hash reads only the last rule's tag and conclusion, so it costs the
+    # same at any depth.
     def proof(leaf):
         d = nd.assume(leaf)
         for _ in range(40):

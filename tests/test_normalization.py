@@ -43,6 +43,18 @@ def test_normalization_is_pinned():
         "b362aa9f31143444bdee46fdcfcd8e7ec5e4d8e4cfe79a59e46648795c46954e")
 
 
+def test_equal_proofs_hash_equal():
+    """Two builds of one seeded pool, and the normal form of each proof in
+    both: distinct records that compare equal and hash equal."""
+    firsts, seconds = list(_proof_pool(200)), list(_proof_pool(200))
+    pairs = list(zip(firsts, seconds))
+    pairs += [(nd.normalize(a), nd.normalize(b)) for a, b in pairs]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+
+
 def test_every_conversion_is_pinned():
     """The sha256 of the kind and the result of one conversion at every cut
     of 200 proofs, 426 conversions: a change to how a step converts that is

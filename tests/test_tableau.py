@@ -669,6 +669,30 @@ def test_derived_flag_keeps_verdicts():
         assert isinstance(plain, Proved) == isinstance(short, Proved), render(f)
 
 
+def test_derived_rules_in_the_full_system_take_the_search(monkeypatch):
+    """The full system has no derived rule to pair formulas with, so decide
+    answers derived=True calls there by its search, without complete(), and
+    the tableau read later is the one complete() builds with derived=True."""
+    rng = random.Random(1729)
+    pool = [parse("((q > q) > s > s) > ~~p")]
+    for ops, depth in [("full", 3), ("succ", 2), ("mixed", 2)] * 100:
+        pool.append(random_formula(rng, names=("p", "q", "r"), depth=depth, ops=ops))
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete() was called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tableau, "complete", refuse)
+        verdicts = [decide(f, Signature.FULL, derived=True) for f in pool]
+    assert verdicts[0].model == {"p": "0", "q": "0", "s": "n"}
+    for f, verdict in zip(pool[1:], verdicts[1:]):
+        plain = decide(f, Signature.FULL)
+        assert type(verdict) is type(plain), render(f)
+        assert getattr(verdict, "model", None) == getattr(plain, "model", None), render(f)
+        tab = complete([F(translate(f, Signature.FULL))], Signature.FULL, derived=True,
+                       stop_on_open=True)
+        assert format_tableau(verdict.tableau) == format_tableau(tab), render(f)
+
+
 def test_derived_pair_actually_fires():
     s = Succ(P, Q)
     tableau = complete([T(s), T(Neg(s))], Signature.SUCC, derived=True)
