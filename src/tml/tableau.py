@@ -41,7 +41,7 @@ from .syntax import (
 class SignedFormula(Interned):
     """T(f) or F(f), interned like formulas: equal signed formulas are one
     object.  Interning also records what Branch.extend needs of it: its kind
-    in _KINDS."""
+    in _KINDS, read as a compiled rule reads it for the triples it builds."""
 
     __slots__ = ("sign", "formula", "_kind")
     __match_args__ = ("sign", "formula")
@@ -50,7 +50,9 @@ class SignedFormula(Interned):
         # The TABLE key and _shape, written out: on decide's small inputs most
         # signed formulas are new, and calling out for them costs about 4 %
         # of their latency.  The test that checks both against a reference
-        # is test_cached_kind_matches_the_reference.
+        # is test_cached_kind_matches_the_reference; a compiled rule writes
+        # the kind out again, and test_compiled_kinds_match_the_signed_formulas
+        # holds it to this one.
         key = sign, formula
         node = TABLE.get(key, absent)()
         if node is None:
@@ -141,11 +143,31 @@ _instantiator = functools.cache(lambda p, t: instantiator(parse(p), parse(t)))
 
 
 def _compile(principal, alternatives):
-    """One row's rule: from an instance of principal to its alternatives."""
+    """One row's rule: from an instance of principal to its alternatives,
+    each a list of plain (sign, formula, kind) triples.  The kind is read
+    from _KINDS as SignedFormula.__new__ reads it; _signed wraps the
+    triples into signed formulas."""
     alternatives = [[(item[0], _instantiator(principal, item[2:])) for item in alt]
                     for alt in alternatives]
-    return lambda f: [[SignedFormula(sign, build(f)) for sign, build in alt]
-                      for alt in alternatives]
+
+    def rule(f):
+        out = []
+        for alt in alternatives:
+            triples = []
+            for sign, build in alt:
+                g = build(f)
+                shape = type(g)
+                under = type(g.body) if shape is Neg else None
+                triples.append((sign, g, _KINDS.get((sign, shape, under), _EXPANDS)))
+            out.append(triples)
+        return out
+
+    return rule
+
+
+def _signed(alternatives):
+    """A compiled rule's alternatives with each triple a SignedFormula."""
+    return [[SignedFormula(sign, g) for sign, g, _ in alt] for alt in alternatives]
 
 
 def _index(rows):
@@ -168,7 +190,8 @@ _PARTNER = {_shape(parse(p)): _instantiator(p, q) for p, q in (_PAIR, _PAIR[::-1
 # a signed literal stays on the branch, one that no valuation satisfies (a
 # signed constant whose value disagrees with its sign) closes the branch, and
 # every other shape waits for its rule.  SignedFormula reads this table once
-# per interned object, so it must be complete before the first one is built.
+# per interned object and a compiled rule once per triple, so it must be
+# complete before the first of either is built.
 _LITERAL, _CLOSES, _EXPANDS = "literal", "closes", "expands"
 _KINDS = {
     (sign, *_shape(f)): _LITERAL if any(
@@ -190,12 +213,13 @@ _LEAST = {frozenset(values): values[0]
           for values in itertools.combinations(VALUES, size)}
 
 
-def _rule(sf, system):
-    """The (label, rule) of sf's row in the system's table; None for a
-    literal.  Raises SignatureError when sf has no row."""
-    rule = _INDEX[system].get((sf.sign, *_shape(sf.formula)))
-    if rule is None and sf._kind is _EXPANDS:
-        raise SignatureError(f"no {system.value}-system rule for {sf}")
+def _rule(sign, formula, system):
+    """The (label, rule) of sign(formula)'s row in the system's table; None
+    for a literal.  Raises SignatureError when it has no row."""
+    key = sign, *_shape(formula)
+    rule = _INDEX[system].get(key)
+    if rule is None and key not in _KINDS:
+        raise SignatureError(f"no {system.value}-system rule for {sign}({render(formula)})")
     return rule
 
 
@@ -203,8 +227,8 @@ def expand(sf, system):
     """Rule table: the alternatives for one signed formula, each alternative
     a list of signed formulas.  Returns None for literals.  Raises
     SignatureError when the formula has no rule in the given system."""
-    rule = _rule(sf, system)
-    return None if rule is None else rule[1](sf.formula)
+    rule = _rule(sf.sign, sf.formula, system)
+    return None if rule is None else _signed(rule[1](sf.formula))
 
 
 def expand_derived(sf1, sf2):
@@ -214,7 +238,7 @@ def expand_derived(sf1, sf2):
     plain, neg = (sf2, sf1) if type(sf1.formula) is Neg else (sf1, sf2)
     if type(plain.formula) is not Succ or neg.formula is not Neg(plain.formula):
         raise ValueError(f"not a derived-rule pair: {sf1}, {sf2}")
-    return _DERIVED[plain.sign, neg.sign](plain.formula)
+    return _signed(_DERIVED[plain.sign, neg.sign](plain.formula))
 
 
 class Node:
@@ -430,17 +454,28 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
 
 class _Expansions(dict):
     """One complete() call's memo: a signed formula's (alternatives, label)
-    from the system's table, built on first use.  Every branch that expands
-    the formula reads the same lists, so no branch may change them."""
+    from the system's table, built on first use, the compiled rule's
+    triples wrapped into signed formulas.  Every branch that expands the
+    formula reads the same lists, so no branch may change them."""
 
     def __init__(self, system):
         super().__init__()
         self.system = system
 
     def __missing__(self, sf):
-        label, rule = _rule(sf, self.system)
-        expansion = self[sf] = rule(sf.formula), label
+        label, rule = _rule(sf.sign, sf.formula, self.system)
+        expansion = self[sf] = _signed(rule(sf.formula)), label
         return expansion
+
+
+class _Triples(_Expansions):
+    """One _refute call's memo: a (sign, formula, kind) triple's
+    alternatives, the compiled rule's lists of triples as they are."""
+
+    def __missing__(self, triple):
+        sign, formula, _ = triple
+        alternatives = self[triple] = _rule(sign, formula, self.system)[1](formula)
+        return alternatives
 
 
 def _pick_rule(sf, branch, system, expansions):
@@ -454,7 +489,7 @@ def _pick_rule(sf, branch, system, expansions):
             if branch.mask & bit and not branch.done & bit:
                 cand = SignedFormula(sign, g)
                 branch.done |= bit | branch.bit(sf)
-                label = f"{_rule(sf, system)[0]}+{_rule(cand, system)[0]}"
+                label = f"{_rule(sf.sign, sf.formula, system)[0]}+{_rule(sign, g, system)[0]}"
                 return expand_derived(sf, cand), label
     branch.done |= branch.bit(sf)
     return expansions[sf]
@@ -477,29 +512,34 @@ def _refute(root, system):
     Skipped alternatives hold no open branch, so the open branch found is
     complete()'s.
 
-    One path is kept at a time.  `trail` lists its signed formulas, `mask`
-    has their bits, numbered in `slots` as in Branch.extend, and `queue`
-    holds each formula that awaits expansion followed by its dependency
-    mask, from `head` on.  A choice point saves what undoes a split:
-    truncating `queue` and `trail` and restoring `mask` and `head`.  Entries
-    of `deps` for bits that `mask` lacks are stale and never read."""
-    expansions = _Expansions(system)
+    The search reads the compiled rules' plain (sign, formula, kind)
+    triples, memoized per call in _Triples, and builds no SignedFormula: on
+    small inputs most of them would be new and die with the call.  Only the
+    trail it returns is turned into signed formulas.
+
+    One path is kept at a time.  `trail` lists its triples, `mask` has
+    their bits, numbered in `slots` as in Branch.extend, and `queue` holds
+    each triple that awaits expansion followed by its dependency mask, from
+    `head` on.  A choice point saves what undoes a split: truncating `queue`
+    and `trail` and restoring `mask` and `head`.  Entries of `deps` for bits
+    that `mask` lacks are stale and never read."""
+    expansions = _Triples(system)
     slots, deps, queue, trail, choices = {}, {}, [], [], []
     mask = head = 0
-    alternative, dep = (root,), 0
+    alternative, dep = ((root.sign, root.formula, root._kind),), 0
     while True:
         closure = None
-        for sf in alternative:
-            pair = slots.get(sf.formula)
+        for triple in alternative:
+            sign, formula, kind = triple
+            pair = slots.get(formula)
             if pair is None:
-                pair = slots[sf.formula] = 1 << 2 * len(slots)
-            bit, other = (pair, pair << 1) if sf.sign == "T" else (pair << 1, pair)
+                pair = slots[formula] = 1 << 2 * len(slots)
+            bit, other = (pair, pair << 1) if sign == "T" else (pair << 1, pair)
             if mask & bit:
                 continue
             mask |= bit
             deps[bit] = dep
-            trail.append(sf)
-            kind = sf._kind
+            trail.append(triple)
             if kind is _CLOSES:
                 closure = dep
                 break
@@ -507,13 +547,13 @@ def _refute(root, system):
                 closure = dep | deps[other]
                 break
             if kind is _EXPANDS:
-                queue += sf, dep
+                queue += triple, dep
         if closure is None:
             if head == len(queue):
-                return trail
-            sf, dep = queue[head], queue[head + 1]
+                return [SignedFormula(sign, formula) for sign, formula, _ in trail]
+            triple, dep = queue[head], queue[head + 1]
             head += 2
-            alternatives = expansions[sf][0]
+            alternatives = expansions[triple]
             if len(alternatives) > 1:
                 dep |= 1 << len(choices)
                 choices.append([alternatives, 1, dep, 0, mask, head, len(queue), len(trail)])

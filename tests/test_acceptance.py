@@ -12,6 +12,7 @@ and time them, criterion 7 re-reads the recorded countermodel audits,
 and criterion 8 re-proves the box of every formula they proved.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ from functools import lru_cache
 import proofgen
 from helpers import modal_ladder, random_formula
 
+from tml import syntax
 from tml.algebra import (
     DESIGNATED,
     VALUES,
@@ -57,6 +59,7 @@ from tml.syntax import (
     Succ,
     Var,
     parse,
+    render,
     translate,
 )
 from tml.tableau import Proved, Refuted, decide, satisfies
@@ -205,15 +208,17 @@ def _full_pool():
     return [f for k in range(5) for f in by_count[k]]
 
 
+# The node count of a formula read as a tree, folded once per distinct node:
+# translations share subterms, so walking the tree itself is exponential.
+_TREE_SIZE = {
+    **dict.fromkeys(syntax._ATOMS, lambda atom: 1),
+    **dict.fromkeys(syntax._UNARY, lambda body: 1 + body),
+    **dict.fromkeys(syntax._BINARY, lambda left, right: 1 + left + right),
+}
+
+
 def _tree_size(f):
-    stack, n = [f], 0
-    while stack:
-        g = stack.pop()
-        n += 1
-        for attr in ("body", "left", "right"):
-            if hasattr(g, attr):
-                stack.append(getattr(g, attr))
-    return n
+    return syntax._fold(f, _TREE_SIZE)
 
 
 def _full_random_pool(seed, count):
@@ -226,6 +231,7 @@ def _full_random_pool(seed, count):
     ]
 
 
+@lru_cache(maxsize=None)
 def _succ_random_pool(seed, count):
     """Random native > formulas over up to 4 variables.
 
@@ -300,6 +306,15 @@ def test_criterion_05_succ_tableau_vs_oracle(capsys):
         assert exhaustive["agree_bad"] == []
         assert randoms["agree_bad"] == []
         assert elapsed < 120.0, f"succ corpus took {elapsed:.1f}s"
+
+
+def test_succ_random_pool_is_pinned():
+    """The sha256 of criterion 5's random pool, rendered one formula a line.
+    Its size envelope is measured in tree nodes, so a change to the count
+    would change which samples pass."""
+    pool = _succ_random_pool(55005, 10000)
+    digest = hashlib.sha256("\n".join(map(render, pool)).encode()).hexdigest()
+    assert digest == "853f9692edadfc0839db80c59862c62f4ddc92be216c0c6567d4485c7154a032"
 
 
 def test_criterion_06_full_tableau_vs_oracle(capsys):

@@ -386,6 +386,31 @@ def test_decide_builds_no_tableau_until_it_is_read(monkeypatch, capsys):
             verdict.tableau
 
 
+def test_decide_builds_signed_formulas_only_for_its_root_and_trail(monkeypatch):
+    """The search runs on plain (sign, formula, kind) triples: a proof
+    builds no signed formula but its root F(g), a refutation only its root
+    and the open trail it returns, in the trail's order."""
+    built, signed_formula = [], tableau.SignedFormula
+
+    def counting(sign, formula):
+        built.append((sign, formula))
+        return signed_formula(sign, formula)
+
+    monkeypatch.setattr(tableau, "SignedFormula", counting)
+    for text, system in (("p > p", Signature.SUCC), ("p > (q > p)", Signature.SUCC),
+                         ("[](p & q) > ([]p & []q)", Signature.FULL)):
+        built.clear()
+        assert isinstance(decide(parse(text), system), Proved), text
+        assert built == [("F", translate(parse(text), system))], text
+    for text, system in (("[]<>p > <>[]p", Signature.FULL), ("(p > q) > q", Signature.SUCC),
+                         ("((q > q) > s > s) > ~~p", Signature.FULL)):
+        built.clear()
+        verdict = decide(parse(text), system)
+        assert isinstance(verdict, Refuted), text
+        trail = [(sf.sign, sf.formula) for sf in verdict.branch.formulas]
+        assert built == [("F", translate(parse(text), system))] + trail, text
+
+
 def test_decide_checks_its_countermodel(monkeypatch):
     monkeypatch.setattr(tableau, "extract_model",
                         lambda branch, names=(): {n: "1" for n in names})
@@ -998,6 +1023,36 @@ def test_cached_kind_matches_the_reference():
     assert kinds == {tableau._EXPANDS, tableau._LITERAL, tableau._CLOSES}
     closing = {str(sf) for sf in signed if sf._kind is tableau._CLOSES}
     assert closing == {"T(bot)", "F(~bot)", "F(top)", "T(~top)"}
+
+
+def _compiled_rules():
+    """Each compiled rule of both systems and of the derived rules, with a
+    principal it applies to, over the same pool of principals, and again
+    with a and b read as formulas of each shape a rule can meet."""
+    instances = [(A, B)] + [(x, y) for x in (Bot(), Top(), Neg(A), Neg(Bot()), Succ(A, B))
+                            for y in (Neg(Top()), And(A, B), Box(A), B)]
+    for a, b in instances:
+        binding = {"a": a, "b": b}
+        for system in Signature:
+            for sf in table_premises(system):
+                g = syntax.instantiate(sf.formula, binding)
+                if in_signature(g, system):
+                    yield tableau._INDEX[system][(sf.sign, *tableau._shape(g))][1], g
+        if in_signature(Succ(a, b), Signature.SUCC):
+            for signs in tableau._DERIVED_RULES:
+                yield tableau._DERIVED[signs], Succ(a, b)
+
+
+def test_compiled_kinds_match_the_signed_formulas():
+    """A compiled rule reads each triple's kind itself; it must be the kind
+    SignedFormula.__new__ records for the same sign and formula."""
+    kinds = set()
+    for rule, g in _compiled_rules():
+        for alt in rule(g):
+            for sign, formula, kind in alt:
+                assert kind is SignedFormula(sign, formula)._kind, f"{sign}({render(formula)})"
+                kinds.add(kind)
+    assert kinds == {tableau._EXPANDS, tableau._LITERAL, tableau._CLOSES}
 
 
 @pytest.fixture
