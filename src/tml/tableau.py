@@ -11,11 +11,12 @@ signature first, so callers can hand either calculus an arbitrary formula;
 an input already inside it is decided as it is.
 """
 
+import collections
 import functools
 import gc
 import itertools
 
-from .algebra import DESIGNATED, ONE, VALUES
+from .algebra import DESIGNATED, ONE, VALUES, ZERO
 from .errors import InvariantViolation
 from .hashcons import TABLE, Interned, absent, enter
 from .semantics import evaluate
@@ -34,7 +35,6 @@ from .syntax import (
     parse,
     render,
     translate,
-    variables,
 )
 
 
@@ -496,8 +496,9 @@ def _pick_rule(sf, branch, system, expansions):
 
 
 def _refute(root, system):
-    """The formulas of the leftmost open branch of complete([root], system),
-    in the order complete() adds them, or None when every branch closes.
+    """The (sign, formula, kind) triples of the leftmost open branch of
+    complete([root], system), in the order complete() adds their signed
+    formulas, or None when every branch closes.
 
     The search runs complete()'s branches in complete()'s order, without
     building nodes, and backjumps.  Each signed formula on the path carries
@@ -514,8 +515,9 @@ def _refute(root, system):
 
     The search reads the compiled rules' plain (sign, formula, kind)
     triples, memoized per call in _Triples, and builds no SignedFormula: on
-    small inputs most of them would be new and die with the call.  Only the
-    trail it returns is turned into signed formulas.
+    small inputs most of them would be new and die with the call.  The
+    trail it returns is those triples too; decide() reads its model from
+    them and turns them into signed formulas only if its branch is read.
 
     One path is kept at a time.  `trail` lists its triples, `mask` has
     their bits, numbered in `slots` as in Branch.extend, and `queue` holds
@@ -550,7 +552,7 @@ def _refute(root, system):
                 queue += triple, dep
         if closure is None:
             if head == len(queue):
-                return [SignedFormula(sign, formula) for sign, formula, _ in trail]
+                return trail
             triple, dep = queue[head], queue[head + 1]
             head += 2
             alternatives = expansions[triple]
@@ -604,18 +606,26 @@ class Proved(_Verdict):
 class Refuted(_Verdict):
     """`branch` is the open branch the model is read from.  Until `tableau`
     is built it is a Branch over one Node whose `added` lists the branch's
-    formulas; from then on it is that tableau's open branch."""
+    formulas; from then on it is that tableau's open branch.  When decide()
+    ran its search, it holds a function that builds that Branch, which is
+    called on first read."""
 
-    __slots__ = ("model", "branch")
+    __slots__ = ("model", "_branch")
 
     def __init__(self, model, branch, tableau):
         self.model = model
-        self.branch = branch
+        self._branch = branch
         self._tableau = tableau
+
+    @property
+    def branch(self):
+        if callable(self._branch):
+            self._branch = self._branch()
+        return self._branch
 
     def _built(self, tableau):
         self._tableau = tableau
-        self.branch = tableau.open_branches()[0]
+        self._branch = tableau.open_branches()[0]
 
 
 @_collector_paused
@@ -626,8 +636,14 @@ def decide(f, system, derived=False, rng=None):
     countermodel is read off (Refuted).  Raises InvariantViolation if f takes
     the value 1 under that countermodel.
 
+    The model is _model's reading of the branch's literal triples.  The
+    check evaluates f under it, which reads every variable of f, and so of
+    its translation, and binds each one no literal constrains to 0; the
+    model is then sorted by name.
+
     The verdict comes from _refute's search, and complete() builds the
-    tableau only when the verdict's `tableau` is read.  Only with an rng, or
+    tableau only when the verdict's `tableau` is read, the open branch's
+    signed formulas only when its `branch` is read.  Only with an rng, or
     with derived rules in the succ system, does complete() build it first:
     an rng would draw fewer numbers in a pruned search, and succ's derived
     rules pair formulas and mark used ones per branch, which the search does
@@ -647,14 +663,19 @@ def decide(f, system, derived=False, rng=None):
         trail = _refute(F(g), system)
         if trail is None:
             return Proved(tableau)
-        branch = Branch(Node(trail))
+
+        def branch():
+            return Branch(Node([SignedFormula(sign, formula) for sign, formula, _ in trail]))
     else:
         tableau = complete([F(g)], system, derived=derived, rng=rng, stop_on_open=True)
         if tableau.closed:
             return Proved(tableau)
         branch = tableau.open_branches()[0]
-    model = extract_model(branch, names=variables(g))
-    if evaluate(f, model) == ONE:
+        trail = [(sf.sign, sf.formula, sf._kind) for sf in branch.formulas]
+    model = _model(trail)
+    value = evaluate(f, model)
+    model = dict(sorted(model.items()))
+    if value == ONE:
         raise InvariantViolation(f"countermodel {model} gives {render(f)} the value 1")
     return Refuted(model, branch, tableau)
 
@@ -665,32 +686,38 @@ def decide_consequence(premises, conclusion, system):
     return decide(entailment(premises, conclusion), system)
 
 
-def extract_model(branch, names=()):
-    """Read a valuation off an open branch: intersect the value ranges forced
-    by its signed literals, take the least survivor in the order 0, n, b, 1,
-    and default unconstrained variables to 0."""
-    if branch.closed:
-        raise ValueError("cannot extract a model from a closed branch")
+def _model(trail):
+    """The countermodel an open branch's (sign, formula, kind) triples
+    force: intersect the value ranges its signed literals allow and take the
+    least survivor in the order 0, n, b, 1.  Its keys are in the order of
+    their first literal.  It is a defaultdict that binds a variable it lacks
+    to 0, the least value, when it is first read."""
     constraints = {}
-    for sf in branch.formulas:
-        if sf._kind is not _LITERAL:
+    for sign, atom, kind in trail:
+        if kind is not _LITERAL:
             continue
-        atom = sf.formula
         negated = type(atom) is Neg
         if negated:
             atom = atom.body
         if type(atom) is Var:
             name = atom.name
-            constraints[name] = constraints.get(name, _ANY) & _ALLOWED[sf.sign, negated]
-    model = {}
-    for name in sorted(constraints.keys() | names):
-        least = _LEAST.get(constraints.get(name, _ANY))
+            constraints[name] = constraints.get(name, _ANY) & _ALLOWED[sign, negated]
+    model = collections.defaultdict(lambda: ZERO)
+    for name, values in constraints.items():
+        least = model[name] = _LEAST.get(values)
         if least is None:
-            raise InvariantViolation(
-                f"open branch forces contradictory values for {name!r}"
-            )
-        model[name] = least
+            name = min(n for n, v in constraints.items() if not v)
+            raise InvariantViolation(f"open branch forces contradictory values for {name!r}")
     return model
+
+
+def extract_model(branch, names=()):
+    """Read a valuation off an open branch with _model, give each of names
+    no literal constrains the value 0, and sort it by name."""
+    if branch.closed:
+        raise ValueError("cannot extract a model from a closed branch")
+    model = _model([(sf.sign, sf.formula, sf._kind) for sf in branch.formulas])
+    return {name: model[name] for name in sorted(model.keys() | names)}
 
 
 def format_tableau(tableau):

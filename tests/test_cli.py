@@ -242,8 +242,7 @@ def test_prove_agrees_with_valid_on_exit_codes(capsys):
 
 
 def test_prove_exits_3_on_a_wrong_countermodel(capsys, monkeypatch):
-    monkeypatch.setattr(tableau, "extract_model",
-                        lambda branch, names=(): {n: "1" for n in names})
+    monkeypatch.setattr(tableau, "_model", lambda trail: {"p": "1"})
     _, out, err = run(capsys, "prove", "--system", "succ", "p | ~p", expect=3)
     assert out == ""
     assert err.startswith("invariant violation: ")

@@ -328,6 +328,14 @@ def test_connectives_take_formulas_only():
     assert len(hashcons.TABLE) == before
 
 
+def test_translation_keeps_the_variables():
+    """decide binds to 0 the variables of f that its countermodel leaves
+    out, and extract_model those of the translation: the two must agree."""
+    for f in _bits_pool():
+        for sig in Signature:
+            assert variables(translate(f, sig)) == variables(f), (render(f), sig)
+
+
 def test_native_formulas_skip_translation(monkeypatch):
     pool = list(_bits_pool())
 

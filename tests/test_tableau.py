@@ -388,8 +388,10 @@ def test_decide_builds_no_tableau_until_it_is_read(monkeypatch, capsys):
 
 def test_decide_builds_signed_formulas_only_for_its_root_and_trail(monkeypatch):
     """The search runs on plain (sign, formula, kind) triples: a proof
-    builds no signed formula but its root F(g), a refutation only its root
-    and the open trail it returns, in the trail's order."""
+    builds no signed formula but its root F(g), and so does a refutation
+    until its branch is read.  The first read builds the open trail once,
+    in the trail's order; a later read returns the same branch, and reading
+    the tableau swaps in the tableau's open branch."""
     built, signed_formula = [], tableau.SignedFormula
 
     def counting(sign, formula):
@@ -407,13 +409,40 @@ def test_decide_builds_signed_formulas_only_for_its_root_and_trail(monkeypatch):
         built.clear()
         verdict = decide(parse(text), system)
         assert isinstance(verdict, Refuted), text
-        trail = [(sf.sign, sf.formula) for sf in verdict.branch.formulas]
-        assert built == [("F", translate(parse(text), system))] + trail, text
+        root = ("F", translate(parse(text), system))
+        assert built == [root], text
+        branch = verdict.branch
+        trail = [(sf.sign, sf.formula) for sf in branch.formulas]
+        assert trail[0] == root and built == [root] + trail, text
+        assert verdict.branch is branch and built == [root] + trail, text
+        if len(built) < 100:  # the last tree has 181,076 branches
+            opened = verdict.tableau.open_branches()[0]
+            assert verdict.branch is opened and opened is not branch, text
+            assert opened.formulas == branch.formulas, text
+
+
+def test_decide_defaults_a_variable_its_open_trail_never_mentions():
+    """The leftmost open branch of F((p > q) > r) takes the alternative
+    [T q] of T(p > q), and that of F(p | q & r) the alternative [F q] of
+    F(q & r), so no literal on it mentions p or r.  The check's reading of
+    f binds that variable to 0, as extract_model with the translation's
+    variables does."""
+    for text, system, unmentioned in (("(p > q) > r", Signature.SUCC, "p"),
+                                      ("p | q & r", Signature.FULL, "r")):
+        f = parse(text)
+        g = translate(f, system)
+        verdict = decide(f, system)
+        assert isinstance(verdict, Refuted), text
+        literals = {sf.formula for sf in verdict.branch.formulas if sf._kind is tableau._LITERAL}
+        assert not literals & {Var(unmentioned), Neg(Var(unmentioned))}, text
+        branch = complete([F(g)], system, stop_on_open=True).open_branches()[0]
+        expected = extract_model(branch, names=variables(g))
+        assert list(verdict.model.items()) == list(expected.items()), text
+        assert list(verdict.model) == ["p", "q", "r"] and verdict.model[unmentioned] == "0", text
 
 
 def test_decide_checks_its_countermodel(monkeypatch):
-    monkeypatch.setattr(tableau, "extract_model",
-                        lambda branch, names=(): {n: "1" for n in names})
+    monkeypatch.setattr(tableau, "_model", lambda trail: {"p": "1"})
     with pytest.raises(InvariantViolation, match="the value 1"):
         decide(parse("p | ~p"), Signature.FULL)
 
