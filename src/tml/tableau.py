@@ -40,8 +40,9 @@ from .syntax import (
 
 class SignedFormula(Interned):
     """T(f) or F(f), interned like formulas: equal signed formulas are one
-    object.  Interning also records what Branch.extend needs of it: its kind
-    in _KINDS, read as a compiled rule reads it for the triples it builds."""
+    object.  Interning also records what the tableau loop needs of it: its
+    kind in _KINDS, read as a compiled rule reads it for the triples it
+    builds."""
 
     __slots__ = ("sign", "formula", "_kind")
     __match_args__ = ("sign", "formula")
@@ -186,7 +187,7 @@ _DERIVED = {signs: _compile(_PAIR[0], alts) for signs, alts in _DERIVED_RULES.it
 # The formula a signed a > b or ~(a > b) pairs with under a derived rule.
 _PARTNER = {_shape(parse(p)): _instantiator(p, q) for p, q in (_PAIR, _PAIR[::-1])}
 
-# What Branch.extend does with a signed formula, keyed by its sign and _shape:
+# What _search does with a signed formula, keyed by its sign and _shape:
 # a signed literal stays on the branch, one that no valuation satisfies (a
 # signed constant whose value disagrees with its sign) closes the branch, and
 # every other shape waits for its rule.  SignedFormula reads this table once
@@ -267,30 +268,19 @@ class Node:
 
 
 class Branch:
-    """A branch under construction.  Its signed formulas are the `added`
-    lists from `root` to `node`, taking at each split the alternative that
-    `path` records, so sorting branches by path gives the leaf order.
-    `mask` has a bit for each, numbered in `slots`, which all branches of a
-    complete() call share: a clone copies only `pending`, the list of
-    formulas that await expansion.  `done` masks those a derived rule has
-    used up."""
+    """A finished branch: its signed formulas are the `added` lists from
+    `root` to its leaf `node`, taking at each split the alternative that
+    `path` records, so sorting branches by path gives the leaf order.  It is
+    closed when its leaf is.  Branch(node) is the one branch of the
+    one-node tree `node`."""
 
-    __slots__ = ("root", "node", "path", "slots", "mask", "pending", "done", "closed")
+    __slots__ = ("root", "node", "path", "closed")
 
-    def __init__(self, node, path=()):
-        self.root = self.node = node
+    def __init__(self, node, root=None, path=()):
+        self.root = node if root is None else root
+        self.node = node
         self.path = path
-        self.slots = {}
-        self.mask = self.done = 0
-        self.pending = []
-        self.closed = False
-
-    def clone(self, node, path):
-        twin = Branch.__new__(Branch)
-        twin.root, twin.slots, twin.node, twin.path = self.root, self.slots, node, path
-        twin.mask, twin.done, twin.closed = self.mask, self.done, self.closed
-        twin.pending = self.pending.copy()
-        return twin
+        self.closed = node.closed
 
     @property
     def formulas(self):
@@ -302,53 +292,6 @@ class Branch:
             node = children[0] if len(children) == 1 else children[next(splits)]
             formulas += node.added
         return formulas
-
-    def bit(self, sf):
-        """sf's bit in mask.  Slot rule: a formula new to `slots` takes the
-        next pair of bits, T(f) the lower and F(f) the upper.  extend()
-        states the rule inline; a test checks that the two agree."""
-        pair = self.slots.get(sf.formula)
-        if pair is None:
-            pair = self.slots[sf.formula] = 1 << 2 * len(self.slots)
-        return pair if sf.sign == "T" else pair << 1
-
-    def add(self, sf):
-        """extend() with the one signed formula sf."""
-        self.extend((sf,))
-
-    def extend(self, sfs):
-        """Record each of sfs once, in order, up to the first that closes
-        the branch: a sign conflict or an unsatisfiable signed constant.  A
-        conflict names the complement in closed_by.  Its bit is set, so it
-        is on the branch and interned, and it is looked up by the TABLE key
-        that SignedFormula.__new__ writes out: a SignedFormula call costs
-        several times the lookup, and most branches close this way."""
-        if self.closed:
-            return
-        slots, mask, added = self.slots, self.mask, self.node.added
-        for sf in sfs:
-            pair = slots.get(sf.formula)
-            if pair is None:
-                pair = slots[sf.formula] = 1 << 2 * len(slots)
-            bit, other = (pair, pair << 1) if sf.sign == "T" else (pair << 1, pair)
-            if mask & bit:
-                continue
-            mask |= bit
-            added.append(sf)
-            kind = sf._kind
-            if kind is _CLOSES:
-                return self._close(mask, sf, None)
-            if mask & other:
-                complement = TABLE.get(("F" if sf.sign == "T" else "T", sf.formula), absent)()
-                return self._close(mask, sf, complement)
-            if kind is _EXPANDS:
-                self.pending.append(sf)
-        self.mask = mask
-
-    def _close(self, mask, sf, complement):
-        self.mask = mask
-        self.closed = self.node.closed = True
-        self.node.closed_by = sf, complement
 
 
 class Tableau:
@@ -400,7 +343,11 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
     random order instead of first-in-first-out; the verdict never depends on
     this choice.  stop_on_open abandons the remaining branches as soon as one
     completes open; branches are worked leftmost-first, so the open branch
-    found this way is the leftmost open leaf of the finished tableau.
+    found this way is the leftmost open leaf of the finished tableau.  The
+    alternatives it abandons still show what they add.
+
+    The tree is _search's record of the loop that decide() runs, with
+    backjumping off.
 
     The cycle collector is paused for the call: the tableau holds no
     reference cycles, so its passes would find nothing.  It is switched back
@@ -413,122 +360,84 @@ def complete(roots, system, derived=False, rng=None, stop_on_open=False):
             raise SignatureError(
                 f"{sf} is outside the {system.value} signature; translate first"
             )
-    root = Node([])
-    first = Branch(root)
-    first.extend(roots)
-    finished = []
-    stack = [first]
-    expansions = _Expansions(system)
-    while stack:
-        branch = stack.pop()
-        pending = branch.pending
-        while not branch.closed and pending:
-            sf = pending.pop(0 if rng is None else rng.randrange(len(pending)))
-            if derived:
-                if branch.done & branch.bit(sf):
-                    continue
-                alternatives, label = _pick_rule(sf, branch, system, expansions)
-            else:
-                # extend() queues a formula once per branch, so none is done yet.
-                alternatives, label = expansions[sf]
-            # A clone for each alternative but the first, pushed so that the
-            # second is popped next; the branch itself takes the first and
-            # is worked on at once.  Only a split extends the path.
-            children = branch.node.children
-            for _ in alternatives:
-                children.append(Node([], label))
-            if len(children) > 1:
-                path = branch.path
-                for k in range(len(children) - 1, 0, -1):
-                    twin = branch.clone(children[k], path + (k,))
-                    twin.extend(alternatives[k])
-                    stack.append(twin)
-                branch.path = path + (0,)
-            branch.node = children[0]
-            branch.extend(alternatives[0])
-        finished.append(branch)
-        if stop_on_open and not branch.closed:
-            break
-    return Tableau(root, finished, system)
+    branches = _search(roots, system, derived, rng, True, stop_on_open)
+    return Tableau(branches[0].root, branches, system)
 
 
-class _Expansions(dict):
-    """One complete() call's memo: a signed formula's (alternatives, label)
-    from the system's table, built on first use, the compiled rule's
-    triples wrapped into signed formulas.  Every branch that expands the
-    formula reads the same lists, so no branch may change them."""
+class _Triples(dict):
+    """One _search call's memo: a (sign, formula, kind) triple's
+    (alternatives, label), the compiled rule's lists of triples as they
+    are, built on first use.  Every path that expands the triple reads the
+    same lists, so none may change them."""
 
     def __init__(self, system):
         super().__init__()
         self.system = system
 
-    def __missing__(self, sf):
-        label, rule = _rule(sf.sign, sf.formula, self.system)
-        expansion = self[sf] = _signed(rule(sf.formula)), label
-        return expansion
-
-
-class _Triples(_Expansions):
-    """One _refute call's memo: a (sign, formula, kind) triple's
-    alternatives, the compiled rule's lists of triples as they are."""
-
     def __missing__(self, triple):
         sign, formula, _ = triple
-        alternatives = self[triple] = _rule(sign, formula, self.system)[1](formula)
-        return alternatives
+        label, rule = _rule(sign, formula, self.system)
+        row = self[triple] = rule(formula), label
+        return row
 
 
-def _pick_rule(sf, branch, system, expansions):
-    """With derived rules: pair sf with a partner on the branch if one is
-    there and unused, else use sf's own row.  Marks what it uses as done."""
-    partner = system is Signature.SUCC and _PARTNER.get(_shape(sf.formula))
-    if partner:
-        g = partner(sf.formula)
-        pair = branch.slots.get(g, 0)
-        for sign, bit in (("T", pair), ("F", pair << 1)):
-            if branch.mask & bit and not branch.done & bit:
-                cand = SignedFormula(sign, g)
-                branch.done |= bit | branch.bit(sf)
-                label = f"{_rule(sf.sign, sf.formula, system)[0]}+{_rule(sign, g, system)[0]}"
-                return expand_derived(sf, cand), label
-    branch.done |= branch.bit(sf)
-    return expansions[sf]
+class _Signed(dict):
+    """One _search call's memo: the SignedFormula of each triple it records,
+    looked up faster than SignedFormula interns it."""
+
+    def __missing__(self, triple):
+        sf = self[triple] = SignedFormula(triple[0], triple[1])
+        return sf
 
 
-def _refute(root, system):
-    """The (sign, formula, kind) triples of the leftmost open branch of
-    complete([root], system), in the order complete() adds their signed
-    formulas, or None when every branch closes.
+def _search(roots, system, derived=False, rng=None, record=False, stop_on_open=False):
+    """The one tableau loop.  It works the branches from the signed formulas
+    roots leftmost first, expanding pending formulas first-in-first-out, or
+    in the order rng picks them.  With derived=True the succ system applies
+    a derived rule to a signed a > b beside a signed ~(a > b) on the path,
+    and `done` has the bits of the formulas a rule has used up.
 
-    The search runs complete()'s branches in complete()'s order, without
-    building nodes, and backjumps.  Each signed formula on the path carries
+    With record it returns the finished branches as Branch records of the
+    tree it builds.  Each alternative it takes becomes a Node with its rule
+    label, `added` and `closed_by`, under `trunk`, whose one child is the
+    root; this is done once per alternative, after its formulas are read.
+    With stop_on_open it stops at the first open branch, but still takes
+    each alternative left on the stack to record what it adds.  Each
+    closure is -1, which rests on every split, so nothing is skipped.
+
+    Without record it backjumps, and returns the (sign, formula, kind)
+    triples of the leftmost open branch in the order they were added, or
+    None when every branch closes.  Each signed formula on the path carries
     a dependency mask with a bit for each split whose choice it rests on:
     alternative k of a split at depth L gives what it adds its principal's
-    mask plus bit L, and a row with one alternative passes the principal's
-    mask on.  A closure's mask joins those of the formulas that close it.
-    When an alternative closes without bit L, the formulas before the split
-    that the closure rests on are unsatisfiable by themselves, so the other
-    alternatives would close too and are skipped.  When every alternative
-    closes, the split closes with the union of their masks less bit L.
-    Skipped alternatives hold no open branch, so the open branch found is
-    complete()'s.
-
-    The search reads the compiled rules' plain (sign, formula, kind)
-    triples, memoized per call in _Triples, and builds no SignedFormula: on
-    small inputs most of them would be new and die with the call.  The
-    trail it returns is those triples too; decide() reads its model from
-    them and turns them into signed formulas only if its branch is read.
+    mask plus bit L (and, under a derived rule, its partner's mask), and a
+    row with one alternative passes the principal's mask on.  A closure's
+    mask joins those of the formulas that close it.  When an alternative
+    closes without bit L, the formulas before the split that the closure
+    rests on are unsatisfiable by themselves, so the other alternatives
+    would close too and are skipped.  When every alternative closes, the
+    split closes with the union of their masks less bit L.  Skipped
+    alternatives hold no open branch, so the open branch found is the
+    recorded tree's leftmost.  No SignedFormula is built: on small inputs
+    most of them would be new and die with the call.
 
     One path is kept at a time.  `trail` lists its triples, `mask` has
-    their bits, numbered in `slots` as in Branch.extend, and `queue` holds
-    each triple that awaits expansion followed by its dependency mask, from
-    `head` on.  A choice point saves what undoes a split: truncating `queue`
-    and `trail` and restoring `mask` and `head`.  Entries of `deps` for bits
-    that `mask` lacks are stale and never read."""
-    expansions = _Triples(system)
-    slots, deps, queue, trail, choices = {}, {}, [], [], []
-    mask = head = 0
-    alternative, dep = ((root.sign, root.formula, root._kind),), 0
+    their bits (a formula new to `slots` takes the next pair, T(f) the lower
+    and F(f) the upper), and `queue` holds each triple that awaits expansion
+    followed by its dependency mask, from `head` on.  A choice point saves
+    what undoes a split: truncating `queue` and `trail`, restoring `mask`,
+    `done` and `head`, and the parent node, label and path the split's other
+    alternatives are recorded under.  An rng pops its pick in place, so
+    there the choice point saves a copy of the pending part of `queue`
+    instead.  Entries of `deps` for bits that `mask` lacks are stale and
+    never read."""
+    expansions, signed = _Triples(system), record and _Signed().__getitem__
+    trunk = parent = record and Node([])  # the trunk's one child is the root
+    derived = derived and system is Signature.SUCC
+    slots, deps, queue, trail, choices, leaves = {}, {}, [], [], [], []
+    mask = done = head = start = 0
+    node, label, alternatives, path, draining = None, None, (), (), False
+    alternative, dep = [(sf.sign, sf.formula, sf._kind) for sf in roots], 0
     while True:
         closure = None
         for triple in alternative:
@@ -550,34 +459,92 @@ def _refute(root, system):
                 break
             if kind is _EXPANDS:
                 queue += triple, dep
-        if closure is None:
-            if head == len(queue):
-                return trail
-            triple, dep = queue[head], queue[head + 1]
-            head += 2
-            alternatives = expansions[triple]
+        if record:
+            node = Node(list(map(signed, trail[start:])), label)
+            parent.children.append(node)
+            if len(alternatives) > 1:
+                path += (len(parent.children) - 1,)
+            if closure is not None:
+                # The closing triple is the last read.  Its complement is on
+                # the path, so it is interned: look it up by the TABLE key.
+                complement = None if kind is _CLOSES else TABLE.get(
+                    ("F" if sign == "T" else "T", formula), absent)()
+                node.closed, node.closed_by = True, (node.added[-1], complement)
+                if not draining:
+                    leaves.append(Branch(node, trunk.children[0], path))
+                closure = -1
+            elif draining:
+                closure = -1
+            # The parent and trail length of an alternative that an
+            # expansion takes next; one taken from a choice point resets them.
+            parent, start = node, len(trail)
+        while closure is None and head < len(queue):
+            if rng is None:
+                triple, dep = queue[head], queue[head + 1]
+                head += 2
+            else:
+                i = head + 2 * rng.randrange((len(queue) - head) >> 1)
+                triple, dep = queue[i], queue[i + 1]
+                del queue[i:i + 2]
+            if not derived:
+                alternatives, label = expansions[triple]
+            else:
+                sign, formula, _ = triple
+                bit = slots[formula] << (sign == "F")
+                if done & bit:
+                    continue
+                done |= bit
+                partner = _PARTNER.get(_shape(formula))
+                g = partner(formula) if partner else None
+                pair = slots.get(g, 0)
+                for other_sign, other in (("T", pair), ("F", pair << 1)):
+                    if mask & other and not done & other:
+                        done |= other
+                        dep |= deps[other]
+                        plain = formula if type(formula) is Succ else g
+                        signs = (sign, other_sign) if plain is formula else (other_sign, sign)
+                        alternatives = _DERIVED[signs](plain)
+                        label = f"{_rule(sign, formula, system)[0]}+{_rule(other_sign, g, system)[0]}"
+                        break
+                else:
+                    alternatives, label = expansions[triple]
             if len(alternatives) > 1:
                 dep |= 1 << len(choices)
-                choices.append([alternatives, 1, dep, 0, mask, head, len(queue), len(trail)])
+                # The alternatives, the next to take, the union of the
+                # closures so far, and what the next one starts from.
+                choices.append([alternatives, 1, 0, dep, mask, done, head,
+                                len(queue) if rng is None else queue[head:], len(trail),
+                                node, label, path])
             alternative = alternatives[0]
-            continue
-        # Close splits from the deepest up until one has an alternative
-        # left that the closure depends on.
-        while choices:
-            depth = len(choices) - 1
-            choice = choices[-1]
-            alternatives, k, dep, union, mask, head, length, added = choice
-            if closure >> depth & 1:
-                closure |= union
-                if k < len(alternatives):
-                    choice[1], choice[3] = k + 1, closure
-                    del queue[length:], trail[added:]
-                    alternative = alternatives[k]
-                    break
-                closure &= ~(1 << depth)
-            choices.pop()
+            break
         else:
-            return None
+            if closure is None:  # nothing is left to expand: an open branch
+                if not record:
+                    return trail
+                leaves.append(Branch(node, trunk.children[0], path))
+                draining, closure = stop_on_open, -1
+            # Close splits from the deepest up until one has an alternative
+            # left that the closure depends on.
+            while choices:
+                depth = len(choices) - 1
+                choice = choices[-1]
+                if closure >> depth & 1:
+                    closure |= choice[2]
+                    alternatives, k = choice[0], choice[1]
+                    if k < len(alternatives):
+                        choice[1], choice[2] = k + 1, closure
+                        dep, mask, done, head, pending, start, parent, label, path = choice[3:]
+                        del trail[start:]
+                        if rng is None:
+                            del queue[pending:]
+                        else:
+                            queue[head:] = pending
+                        alternative = alternatives[k]
+                        break
+                    closure &= ~(1 << depth)
+                choices.pop()
+            else:
+                return leaves if record else None
 
 
 class _Verdict:
@@ -607,7 +574,8 @@ class Refuted(_Verdict):
     """`branch` is the open branch the model is read from.  Until `tableau`
     is built it is a Branch over one Node whose `added` lists the branch's
     formulas; from then on it is that tableau's open branch.  When decide()
-    ran its search, it holds a function that builds that Branch, which is
+    ran its search, as it does unless it is given an rng, it holds a
+    function that builds that Branch from the search's trail, which is
     called on first read."""
 
     __slots__ = ("model", "_branch")
@@ -641,14 +609,12 @@ def decide(f, system, derived=False, rng=None):
     its translation, and binds each one no literal constrains to 0; the
     model is then sorted by name.
 
-    The verdict comes from _refute's search, and complete() builds the
-    tableau only when the verdict's `tableau` is read, the open branch's
-    signed formulas only when its `branch` is read.  Only with an rng, or
-    with derived rules in the succ system, does complete() build it first:
-    an rng would draw fewer numbers in a pruned search, and succ's derived
-    rules pair formulas and mark used ones per branch, which the search does
-    not track.  In the full system derived rules pair nothing, so the tree
-    is the one without them.
+    The verdict comes from _search's backjumping search, derived rules
+    included, and complete() builds the tableau only when the verdict's
+    `tableau` is read, the open branch's signed formulas only when its
+    `branch` is read.  Only with an rng does complete() build it first: a
+    pruned search would draw fewer numbers, and could reach another open
+    branch.
 
     The cycle collector is paused for the whole call, translation and model
     extraction included: none of it builds reference cycles, so its passes
@@ -656,11 +622,11 @@ def decide(f, system, derived=False, rng=None):
     at the start; a gc.disable() made in another thread meanwhile is undone
     then."""
     g = translate(f, system)
-    if rng is None and not (derived and system is Signature.SUCC):
+    if rng is None:
         def tableau():
-            return complete([F(g)], system, stop_on_open=True)
+            return complete([F(g)], system, derived=derived, stop_on_open=True)
 
-        trail = _refute(F(g), system)
+        trail = _search([F(g)], system, derived)
         if trail is None:
             return Proved(tableau)
 

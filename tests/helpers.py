@@ -1,7 +1,8 @@
 """Seeded random formula generators shared across the test modules,
 references for what the library computes faster: a formula's signature
-bits, countermodel extraction and the cut analysis of natural deduction
-proofs, and one conversion step at a cut that nd.analyze reports."""
+bits, a tableau's root node, countermodel extraction and the cut analysis
+of natural deduction proofs, and one conversion step at a cut that
+nd.analyze reports."""
 
 from tml import nd, tableau
 from tml.algebra import VALUES
@@ -162,3 +163,23 @@ def reference_extract_model(branch, names=()):
             raise InvariantViolation(f"open branch forces contradictory values for {name!r}")
         model[name] = next(v for v in VALUES if v in allowed)
     return model
+
+
+def reference_branch(signed):
+    """What the root of a tableau over the signed formulas holds, recorded
+    one signed formula at a time on plain lists: (added, pending,
+    closed_by).  A formula already there is skipped, and the first that is a
+    closing constant or meets its complement ends the branch."""
+    added, pending = [], []
+    for sf in signed:
+        if sf in added:
+            continue
+        added.append(sf)
+        complement = tableau.SignedFormula("F" if sf.sign == "T" else "T", sf.formula)
+        if sf._kind is tableau._CLOSES:
+            return added, pending, (sf, None)
+        if complement in added:
+            return added, pending, (sf, complement)
+        if sf._kind is tableau._EXPANDS:
+            pending.append(sf)
+    return added, pending, None

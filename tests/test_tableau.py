@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from helpers import random_formula, reference_extract_model
+from helpers import random_formula, reference_branch, reference_extract_model
 from tml import cli, hashcons, syntax, tableau
 from tml.algebra import VALUES
 from tml.errors import InvariantViolation
@@ -487,11 +487,8 @@ def test_branch_order_is_leftmost_first():
 
 
 def _open_branch(signed):
-    node = Node(added=[])
-    branch = Branch(node)
-    for sf in signed:
-        branch.add(sf)
-    assert not branch.closed
+    branch = Branch(Node(list(signed)))
+    assert not branch.closed and branch.formulas == signed
     return branch
 
 
@@ -512,10 +509,11 @@ def test_extraction_defaults_unconstrained_to_zero():
 
 
 def test_extraction_refuses_closed_branch():
-    node = Node(added=[])
-    branch = Branch(node)
-    branch.add(T(P))
-    branch.add(F(P))
+    branch = Branch(Node([T(P), F(P)], closed=True))
+    assert branch.closed
+    with pytest.raises(ValueError):
+        extract_model(branch)
+    [branch] = complete([T(P), F(P)], Signature.SUCC).branches
     assert branch.closed
     with pytest.raises(ValueError):
         extract_model(branch)
@@ -723,12 +721,24 @@ def test_derived_flag_keeps_verdicts():
         assert isinstance(plain, Proved) == isinstance(short, Proved), render(f)
 
 
-def test_derived_rules_in_the_full_system_take_the_search(monkeypatch):
-    """The full system has no derived rule to pair formulas with, so decide
-    answers derived=True calls there by its search, without complete(), and
-    the tableau read later is the one complete() builds with derived=True."""
+# The model of ((q > q) > s > s) > ~~p with derived rules: the full system
+# has none to pair, and in the succ system complete() finds this one.
+_WORST_DERIVED = {Signature.FULL: {"p": "0", "q": "0", "s": "n"},
+                  Signature.SUCC: {"p": "n", "q": "0", "s": "b"}}
+
+
+@pytest.mark.parametrize("system", list(Signature), ids=lambda s: s.value)
+def test_derived_rules_take_the_search(monkeypatch, system):
+    """decide answers derived=True calls by its search, without complete():
+    in the succ system the search pairs formulas under the derived rules as
+    complete() does, and the full system has no pair to apply them to.  The
+    verdict and model are those of complete() with derived rules and
+    stop_on_open, and so is the tableau read later."""
     rng = random.Random(1729)
-    pool = [parse("((q > q) > s > s) > ~~p")]
+    # After the worst input, three whose succ searches go wrong when a
+    # derived alternative does not rest on its partner's splits.
+    pool = [parse(text) for text in ("((q > q) > s > s) > ~~p", "q | [](r > [][]r)",
+                                     "p > [](~~p | <>[]bot)", "q | (r > [](r | q & p))")]
     for ops, depth in [("full", 3), ("succ", 2), ("mixed", 2)] * 100:
         pool.append(random_formula(rng, names=("p", "q", "r"), depth=depth, ops=ops))
     def refuse(*args, **kwargs):
@@ -736,15 +746,19 @@ def test_derived_rules_in_the_full_system_take_the_search(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(tableau, "complete", refuse)
-        verdicts = [decide(f, Signature.FULL, derived=True) for f in pool]
-    assert verdicts[0].model == {"p": "0", "q": "0", "s": "n"}
+        verdicts = [decide(f, system, derived=True) for f in pool]
+    assert verdicts[0].model == _WORST_DERIVED[system]
     for f, verdict in zip(pool[1:], verdicts[1:]):
-        plain = decide(f, Signature.FULL)
-        assert type(verdict) is type(plain), render(f)
-        assert getattr(verdict, "model", None) == getattr(plain, "model", None), render(f)
-        tab = complete([F(translate(f, Signature.FULL))], Signature.FULL, derived=True,
-                       stop_on_open=True)
+        g = translate(f, system)
+        tab = complete([F(g)], system, derived=True, stop_on_open=True)
+        assert isinstance(verdict, Proved) == tab.closed, render(f)
+        if not tab.closed:
+            model = extract_model(tab.open_branches()[0], names=variables(g))
+            assert list(verdict.model.items()) == list(model.items()), render(f)
         assert format_tableau(verdict.tableau) == format_tableau(tab), render(f)
+        if system is Signature.FULL:
+            plain = decide(f, system)
+            assert getattr(verdict, "model", None) == getattr(plain, "model", None), render(f)
 
 
 def test_derived_pair_actually_fires():
@@ -792,15 +806,11 @@ def test_format_tableau_smoke():
 
 
 def test_close_reasons_name_the_closing_formulas():
-    node = Node(added=[])
-    branch = Branch(node)
-    assert node.close_reason is None
-    branch.add(T(P))
-    branch.add(F(P))
+    assert Node(added=[]).close_reason is None
+    node = complete([T(P), F(P)], Signature.SUCC).root
     assert node.closed_by == (F(P), T(P))
     assert node.close_reason == "F(p) conflicts with T(p)"
-    node = Node(added=[])
-    Branch(node).add(T(Bot()))
+    node = complete([T(Bot())], Signature.SUCC).root
     assert node.close_reason == "T(bot) is unsatisfiable"
 
 
@@ -872,42 +882,71 @@ def _leaf_walk(root, branch):
     return nodes
 
 
-@pytest.mark.parametrize("system", list(Signature), ids=lambda s: s.value)
-@pytest.mark.parametrize("derived", [False, True], ids=["plain", "derived"])
-@pytest.mark.parametrize("ordered", [False, True], ids=["fifo", "rng"])
-def test_finished_branches_match_the_tree(system, derived, ordered):
+# A case's id names its expansion order, rule set and system, and ends in
+# -stopped when complete() stops at the first open branch.
+_TREE_CASES = [
+    pytest.param(system, derived, ordered, stop_on_open, id="-".join(
+        [("fifo", "rng")[ordered], ("plain", "derived")[derived], system.value]
+        + ["stopped"] * stop_on_open))
+    for stop_on_open in (False, True) for ordered in (False, True)
+    for derived in (False, True) for system in Signature]
+
+
+def _same_nodes(stopped, finished):
+    """Check that every node of the stopped tree equals the node at the same
+    place in the finished one, where a node left unexpanded has no children,
+    and return the number of nodes checked."""
+    count = 0
+    stack = [(stopped, finished)]
+    while stack:
+        node, twin = stack.pop()
+        assert (node.added, node.rule, node.close_reason) == (
+            twin.added, twin.rule, twin.close_reason)
+        if node.children:
+            assert len(node.children) == len(twin.children)
+            stack.extend(zip(node.children, twin.children))
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("system, derived, ordered, stop_on_open", _TREE_CASES)
+def test_finished_branches_match_the_tree(system, derived, ordered, stop_on_open):
     rng = random.Random(f"{system.value}-{derived}-{ordered}")
     ops = "succ" if system is Signature.SUCC else "full"
-    probe = T(Neg(Neg(Var("sibling_probe"))))
+    unexplored = 0
     for i in range(60):
         f = random_formula(rng, names=("p", "q", "r"), depth=4, ops=ops)
+        roots = [F(translate(f, system))]
         order = random.Random(i) if ordered else None
-        tab = complete([F(translate(f, system))], system, derived=derived, rng=order)
-        pending = set()
+        tab = complete(roots, system, derived=derived, rng=order, stop_on_open=stop_on_open)
         for branch in tab.branches:
             nodes = _leaf_walk(tab.root, branch)
-            assert branch.node is nodes[-1]
+            assert branch.root is tab.root and branch.node is nodes[-1]
             assert branch.formulas == [sf for node in nodes for sf in node.added]
             assert branch.closed == nodes[-1].closed
-            assert id(branch.pending) not in pending, render(f)
-            pending.add(id(branch.pending))
         # Branches finish leftmost-first: their paths strictly increase.
         paths = [branch.path for branch in tab.branches]
         assert all(a < b for a, b in zip(paths, paths[1:])), render(f)
-        # Siblings are independent: a formula added to one branch shows on
-        # that branch only.
-        before = [(b.mask, list(b.pending), b.formulas) for b in tab.branches]
-        for branch in tab.branches:
-            branch.add(probe)
-        for branch, (mask, queue, formulas) in zip(tab.branches, before):
-            extra = [] if branch.closed else [probe]
-            assert branch.mask == mask | (branch.bit(probe) if extra else 0)
-            assert (list(branch.pending), branch.formulas) == (queue + extra, formulas + extra)
+        if not stop_on_open:
+            continue
+        # A stopped tree is the finished tree up to its first open branch,
+        # and shows what each alternative it left behind adds.
+        order = random.Random(i) if ordered else None
+        finished = complete(roots, system, derived=derived, rng=order)
+        opened = [k for k, branch in enumerate(finished.branches) if not branch.closed]
+        kept = finished.branches[:opened[0] + 1] if opened else finished.branches
+        assert paths == [branch.path for branch in kept], render(f)
+        assert [b.closed for b in tab.branches] == [b.closed for b in kept], render(f)
+        explored = {id(node) for branch in tab.branches for node in _leaf_walk(tab.root, branch)}
+        unexplored += _same_nodes(tab.root, finished.root) - len(explored)
+    # Some of the stopped trees left alternatives behind for the check.
+    assert unexplored or not stop_on_open
 
 
 def test_adding_a_formula_interns_no_complement(monkeypatch):
     # A complement built only to be tested would leave the table as soon as
-    # it died, so record every key that enters it.
+    # it died, so record every key that enters it: recording a tree interns
+    # the signed formulas its nodes hold and nothing else.
     entered = []
 
     def enter(key, node):
@@ -918,40 +957,19 @@ def test_adding_a_formula_interns_no_complement(monkeypatch):
     atom = Var("complement_probe_c")
     signed = T(f), F(atom)
     monkeypatch.setattr(tableau, "enter", enter)
-    branch = Branch(Node(added=[]))
-    for sf in signed:
-        branch.add(sf)
-    assert list(branch.pending) == [T(f)]
-    assert entered == []
-    assert ("F", id(f)) not in hashcons.TABLE
-    assert ("T", id(atom)) not in hashcons.TABLE
+    tab = complete(signed, Signature.SUCC)
+    assert tab.root.added == list(signed) and tab.root.children
+    recorded, stack = set(), [tab.root]
+    while stack:
+        node = stack.pop()
+        recorded.update((sf.sign, sf.formula) for sf in node.added)
+        stack.extend(node.children)
+    assert sorted(map(repr, entered)) == sorted(map(repr, recorded - {("T", f), ("F", atom)}))
+    assert ("F", f) not in hashcons.TABLE
+    assert ("T", atom) not in hashcons.TABLE
     # an existing complement is still found
-    branch.add(T(atom))
-    assert branch.closed and branch.node.closed_by == (T(atom), F(atom))
-
-
-def _reference_branch(alternatives):
-    """What a branch holds after taking each alternative in turn, recorded one
-    signed formula at a time on plain lists: (added, pending, closed_by, the
-    formulas consumed).  A formula already there is skipped, and the first
-    that is a closing constant or meets its complement ends the branch."""
-    added, pending, consumed, closed_by = [], [], [], None
-    for alt in alternatives:
-        for sf in alt:
-            if closed_by is not None:
-                break
-            consumed.append(sf)
-            if sf in added:
-                continue
-            added.append(sf)
-            complement = SignedFormula("F" if sf.sign == "T" else "T", sf.formula)
-            if sf._kind is tableau._CLOSES:
-                closed_by = sf, None
-            elif complement in added:
-                closed_by = sf, complement
-            elif sf._kind is tableau._EXPANDS:
-                pending.append(sf)
-    return added, pending, closed_by, consumed
+    root = complete([F(atom), T(atom)], Signature.SUCC).root
+    assert root.closed and root.closed_by == (T(atom), F(atom))
 
 
 _P_TO_P = expand(F(Succ(P, P)), Signature.SUCC)
@@ -968,41 +986,23 @@ _P_TO_P = expand(F(Succ(P, P)), Signature.SUCC)
 ], ids=["repeat", "closing-constant", "closing-top", "conflict-in-row",
         "conflict-f-first", "conflict-expands", "open"])
 def test_extend_matches_one_formula_at_a_time(alternatives):
-    node = Node([])
-    branch = Branch(node)
-    for alt in alternatives:
-        branch.extend(alt)
-    added, pending, closed_by, consumed = _reference_branch(alternatives)
-    assert node.added == added and branch.formulas == added
-    assert branch.pending == pending
-    assert node.closed_by == closed_by
-    assert branch.closed is node.closed is (closed_by is not None)
-    # extend numbers slots as Branch.bit does, on the formulas it read
-    reference = Branch(Node([]))
-    mask = 0
-    for sf in consumed:
-        mask |= reference.bit(sf)
-    assert reference.slots == branch.slots
-    assert branch.mask == mask
-    # a closed branch takes nothing more
-    if branch.closed:
-        branch.extend([F(Var("after_close"))])
-        assert (node.added, branch.mask) == (added, mask)
-
-
-def test_extend_numbers_slots_by_first_sight():
-    branch = Branch(Node([]))
-    branch.extend([F(P), T(Q), T(Neg(P))])
-    assert branch.slots == {P: 1, Q: 4, Neg(P): 16}
-    assert branch.mask == 0b10110
-    assert [branch.bit(sf) for sf in (T(P), F(P), T(Q), F(Q))] == [1, 2, 4, 8]
-    # a clone shares the slots: a formula new to it takes the next pair, and
-    # nothing after the formula that closes it is read
-    twin = branch.clone(Node([]), (0,))
-    twin.extend([T(Var("r")), F(Neg(P)), F(Var("s"))])
-    assert twin.mask == 0b1110110 and branch.mask == 0b10110
-    assert twin.closed and twin.node.closed_by == (F(Neg(P)), T(Neg(P)))
-    assert branch.slots == {P: 1, Q: 4, Neg(P): 16, Var("r"): 64}
+    """The root of complete() over the alternatives' formulas holds what
+    the reference records one formula at a time, and its first rule
+    expands the oldest formula left pending."""
+    signed = [sf for alt in alternatives for sf in alt]
+    system = Signature.SUCC if all(
+        in_signature(sf.formula, Signature.SUCC) for sf in signed) else Signature.FULL
+    root = complete(signed, system, stop_on_open=True).root
+    added, pending, closed_by = reference_branch(signed)
+    assert root.added == added
+    assert root.closed_by == closed_by
+    assert root.closed is (closed_by is not None)
+    if closed_by is None and pending:
+        label = tableau._rule(pending[0].sign, pending[0].formula, system)[0]
+        assert [child.rule for child in root.children] == [label] * len(
+            expand(pending[0], system))
+    else:
+        assert root.children == []
 
 
 # --- cached rule data and the paused cycle collector --------------------------
