@@ -7,6 +7,13 @@ rule schema and the discharge discipline and returns the judgement; analyze()
 finds segments and cuts; normalize() removes all critical cuts, first pushing
 bot-eliminations down to literals with atomize_bot().
 
+Each rule is one schema in _SCHEMAS, and the rest of the module reads every
+rule property off that table: the rule sets, check()'s discharge scopes, the
+rule constructors, the detour conversions and bot atomization.  Two
+conventions tie them to the schemas.  A rule's name marks it as an
+introduction (...I, ...I1, ...I2) or an elimination (...E, ...E1, ...E2),
+and discharge k scopes over premise k + 1.
+
 Discharge discipline: a marker names one assumption class (all its Assume
 leaves carry the same formula); each marker is discharged by at most one rule
 application, whose scope premise must contain every open occurrence; empty
@@ -116,23 +123,6 @@ class Judgement(_Record):
     __slots__ = __match_args__ = ("open_assumptions", "conclusion")
 
 
-I_TAGS = frozenset(
-    ["AndI", "NegAndI1", "NegAndI2", "OrI1", "OrI2", "NegOrI",
-     "NegNegI", "BoxI", "NegBoxI", "BotI"]
-)
-E_TAGS = frozenset(
-    ["AndE1", "AndE2", "NegAndE", "OrE", "NegOrE1", "NegOrE2",
-     "NegNegE", "BoxE", "NegBoxE", "BotE"]
-)
-TAGS = I_TAGS | E_TAGS
-DEL_TAGS = frozenset(["OrE", "NegAndE"])
-# Cuts end at major premises of these rules.  BotE is excluded: a BotE
-# conclusion is never "introduced" by a matching I-rule, and its conversions
-# are the business of atomize_bot instead.
-CUT_E_TAGS = E_TAGS - frozenset(["BotE"])
-# Which premise index each discharge entry scopes over, per rule.
-DISCHARGE_SCOPES = {"OrE": (1, 2), "NegAndE": (1, 2), "BoxI": (1,)}
-
 def conclusion_of(tree):
     return tree.conclusion if type(tree) is Rule else tree.formula
 
@@ -217,6 +207,18 @@ _SCHEMAS = {
     "BotI": _schema(["~a & []a"], "bot"),
     "BotE": _schema(["bot"], "c"),
 }
+TAGS = frozenset(_SCHEMAS)
+# A rule's name says whether it introduces or eliminates its principal
+# formula: ...I, ...I1, ...I2 or ...E, ...E1, ...E2.
+I_TAGS = frozenset(tag for tag in TAGS if tag.rstrip("12").endswith("I"))
+E_TAGS = frozenset(tag for tag in TAGS if tag.rstrip("12").endswith("E"))
+# The del-rules, whose minor premises repeat their conclusion (OrE, NegAndE).
+DEL_TAGS = frozenset(tag for tag, (premises, conclusion, _) in _SCHEMAS.items()
+                     if conclusion in premises)
+# Cuts end at major premises of these rules.  BotE is excluded: a BotE
+# conclusion is never "introduced" by a matching I-rule, and its conversions
+# are the business of atomize_bot instead.
+CUT_E_TAGS = E_TAGS - frozenset(["BotE"])
 _MA_SHAPE = parse("a | ~[]a")
 
 _SHAPE_NAMES = {Neg: "a negation", And: "a conjunction", Or: "a disjunction", Box: "a box"}
@@ -303,8 +305,9 @@ def check(proof):
             marked = {}
             for m in below:
                 marked.update(m)
-            scopes = DISCHARGE_SCOPES.get(t.tag, ())
-            for (marker, formula), scope in zip(t.discharges, scopes):
+            # Discharge k scopes over premise k + 1, in every rule that
+            # discharges (OrE, NegAndE, BoxI).
+            for scope, (marker, formula) in enumerate(t.discharges, 1):
                 if marker in discharged:
                     raise DischargeError(
                         f"marker {marker!r} is discharged by two rule applications"
@@ -711,10 +714,6 @@ def _is_nd_literal(f):
     return kind is Var or kind is Neg and type(f.body) in (Var, Bot)
 
 
-# The introduction rules a bot derivation is pushed through, first match first.
-_BOT_INTROS = ("AndI", "OrI1", "BoxI", "NegAndI1", "NegOrI", "NegNegI", "NegBoxI")
-
-
 def _bot_elim(bot_deriv, target, supply):
     """A derivation of target from the given derivation of bot, where every
     remaining BotE concludes a literal.  Raises SchemaError, as check does,
@@ -740,14 +739,15 @@ def _bot_elim(bot_deriv, target, supply):
         elif target is BOT:
             done.append(deriv)
         else:
-            for tag in _BOT_INTROS:
+            # The first introduction rule in table order whose conclusion
+            # fits: OrI1 before OrI2, NegAndI1 before NegAndI2.
+            for tag, (premises, conclusion, _) in _SCHEMAS.items():
                 binding = {}
-                if match(_SCHEMAS[tag][1], target, binding):
+                if tag in I_TAGS and match(conclusion, target, binding):
                     break
             else:
                 _check_language(target)
                 raise InvariantViolation(f"no bot decomposition for {render(target)}")
-            premises = _SCHEMAS[tag][0]
             stack += ((tag, binding), _READY)
             stack += [(deriv, i > 0, instantiate(premises[i], binding))
                       for i in reversed(range(len(premises)))]
@@ -775,23 +775,6 @@ def atomize_bot(proof):
 # --- conversions and normalization ---------------------------------------------
 
 
-_DETOUR_MINOR = {
-    ("NegAndI1", "NegAndE"): 1,
-    ("NegAndI2", "NegAndE"): 2,
-    ("OrI1", "OrE"): 1,
-    ("OrI2", "OrE"): 2,
-}
-_DETOUR_PROJECT = {
-    ("AndI", "AndE1"): 0,
-    ("AndI", "AndE2"): 1,
-    ("NegOrI", "NegOrE1"): 0,
-    ("NegOrI", "NegOrE2"): 1,
-    ("NegNegI", "NegNegE"): 0,
-    ("BoxI", "BoxE"): 0,
-    ("NegBoxI", "NegBoxE"): 0,
-}
-
-
 def _convert(proof, start, length, supply):
     """The proof after the conversion at the cut that starts at the flat
     path start and runs through length occurrences, and the conversion's
@@ -807,15 +790,20 @@ def _convert(proof, start, length, supply):
         spine.append(spine[-1].premises[i])
     consumer, final = spine[at], spine[at + 1]
     if length == 1:
-        kind, key = "detour", (final.tag, consumer.tag)
-        if key in _DETOUR_PROJECT:
-            new = final.premises[_DETOUR_PROJECT[key]]
-        elif key in _DETOUR_MINOR:
-            i = _DETOUR_MINOR[key]
-            new = _substitute(consumer.premises[i], consumer.discharges[i - 1][0],
+        # The two schemas give the reduct: the introduction's premise that
+        # the elimination concludes, or else minor premise k + 1 with the
+        # introduction's one premise put in for the class of discharge k,
+        # the discharge that names that premise.
+        kind, premises = "detour", _SCHEMAS[final.tag][0]
+        _, conclusion, discharges = _SCHEMAS[consumer.tag]
+        if conclusion in premises:
+            new = final.premises[premises.index(conclusion)]
+        elif premises[0] in discharges:
+            k = discharges.index(premises[0])
+            new = _substitute(consumer.premises[k + 1], consumer.discharges[k][0],
                               final.premises[0], supply)
         else:
-            raise InvariantViolation(f"no detour for {key}")
+            raise InvariantViolation(f"no detour for {(final.tag, consumer.tag)}")
     else:
         for i in (1, 2):
             marker = final.discharges[i - 1][0]

@@ -80,6 +80,20 @@ def fold_and(formulas):
     return acc
 
 
+# The rule sets of the proof system, written out rule by rule, so that the
+# reference below does not share nd's reading of them off its schemas.
+I_TAGS = frozenset(
+    ["AndI", "NegAndI1", "NegAndI2", "OrI1", "OrI2", "NegOrI",
+     "NegNegI", "BoxI", "NegBoxI", "BotI"]
+)
+E_TAGS = frozenset(
+    ["AndE1", "AndE2", "NegAndE", "OrE", "NegOrE1", "NegOrE2",
+     "NegNegE", "BoxE", "NegBoxE", "BotE"]
+)
+DEL_TAGS = frozenset(["OrE", "NegAndE"])
+CUT_E_TAGS = E_TAGS - frozenset(["BotE"])
+
+
 def reference_analyze(proof):
     """nd.analyze as a plain two-pass algorithm: index every node by its
     path, chain each non-del occurrence down through del-rule minor
@@ -94,7 +108,7 @@ def reference_analyze(proof):
                 index(p, path + (i,))
 
     def is_del(t):
-        return isinstance(t, nd.Rule) and t.tag in nd.DEL_TAGS
+        return isinstance(t, nd.Rule) and t.tag in DEL_TAGS
 
     index(proof, ())
     segments = []
@@ -111,10 +125,10 @@ def reference_analyze(proof):
         if not end:
             continue
         consumer = nodes[end[:-1]]
-        if not (isinstance(consumer, nd.Rule) and consumer.tag in nd.CUT_E_TAGS and end[-1] == 0):
+        if not (isinstance(consumer, nd.Rule) and consumer.tag in CUT_E_TAGS and end[-1] == 0):
             continue
         start = nodes[seg.positions[0]]
-        if seg.length > 1 or (isinstance(start, nd.Rule) and start.tag in nd.I_TAGS):
+        if seg.length > 1 or (isinstance(start, nd.Rule) and start.tag in I_TAGS):
             cuts.append(seg)
     cutrank = max((complexity(s.formula) for s in cuts), default=0)
     critical = tuple(s for s in cuts if complexity(s.formula) == cutrank)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import helpers
 from helpers import LANGUAGE_TYPES, convert_at
 from proofgen import (
     DETOUR_KINDS,
@@ -106,6 +107,15 @@ def test_box_e_schema_error_pin():
 def test_unknown_tag_rejected():
     with pytest.raises(nd.SchemaError):
         nd.check(nd.Rule("Frobnicate", P, (nd.Assume(P),)))
+
+
+def test_rule_sets_match_the_written_out_ones():
+    # nd reads its rule sets off the schemas; helpers writes them out.
+    assert nd.TAGS == helpers.I_TAGS | helpers.E_TAGS == frozenset(nd._SCHEMAS)
+    assert nd.I_TAGS == helpers.I_TAGS
+    assert nd.E_TAGS == helpers.E_TAGS
+    assert nd.DEL_TAGS == helpers.DEL_TAGS
+    assert nd.CUT_E_TAGS == helpers.CUT_E_TAGS
 
 
 @pytest.mark.parametrize("text", ["top", "<>p", "p > q", "[](p > q)"])
@@ -265,13 +275,45 @@ def test_marker_discharged_once():
         nd.check(outer)
 
 
-def test_discharge_scope_enforced():
-    # the marked assumption sits in the first premise, outside BoxI's scope
-    refutation = nd.bot_e(nd.Assume(Bot()), Bot())
-    bad = nd.Rule("BoxI", parse("[]p"),
-                  (nd.Assume(P, "u"), refutation), (("u", parse("~p")),))
-    with pytest.raises(nd.DischargeError):
+def _carrying(f, marker, g):
+    """A derivation of g that leaves the assumption f, marked, open."""
+    return nd.and_e2(nd.and_i(nd.Assume(f, marker), nd.Assume(g)))
+
+
+R = Var("r")
+NP, NQ = Neg(P), Neg(Q)
+_OR_E = (("u", P), ("v", Q))
+_NEG_AND_E = (("u", NP), ("v", NQ))
+
+
+# Each discharging rule with a marked assumption outside its discharge's
+# scope: in the major premise, or in the minor that the other discharge
+# scopes over.  Discharge k scopes over premise k + 1, so the message names
+# the premise the class is open in and premise k + 1.
+@pytest.mark.parametrize("tag, conclusion, premises, discharges, open_in, scope", [
+    ("OrE", R, (nd.or_i1(nd.Assume(P, "u"), Q), nd.Assume(R), nd.Assume(R)), _OR_E, 0, 1),
+    ("OrE", R, (nd.or_i2(nd.Assume(Q, "v"), P), nd.Assume(R), nd.Assume(R)), _OR_E, 0, 2),
+    ("OrE", R, (nd.Assume(Or(P, Q)), nd.Assume(R), _carrying(P, "u", R)), _OR_E, 2, 1),
+    ("OrE", R, (nd.Assume(Or(P, Q)), _carrying(Q, "v", R), nd.Assume(R)), _OR_E, 1, 2),
+    ("NegAndE", R, (nd.neg_and_i1(nd.Assume(NP, "u"), Q), nd.Assume(R), nd.Assume(R)),
+     _NEG_AND_E, 0, 1),
+    ("NegAndE", R, (nd.neg_and_i2(nd.Assume(NQ, "v"), P), nd.Assume(R), nd.Assume(R)),
+     _NEG_AND_E, 0, 2),
+    ("NegAndE", R, (nd.Assume(Neg(And(P, Q))), nd.Assume(R), _carrying(NP, "u", R)),
+     _NEG_AND_E, 2, 1),
+    ("NegAndE", R, (nd.Assume(Neg(And(P, Q))), _carrying(NQ, "v", R), nd.Assume(R)),
+     _NEG_AND_E, 1, 2),
+    ("BoxI", Box(P), (_carrying(NP, "u", P), nd.Assume(Bot())), (("u", NP),), 0, 1),
+], ids=["OrE-u-in-major", "OrE-v-in-major", "OrE-u-in-minor-2", "OrE-v-in-minor-1",
+        "NegAndE-u-in-major", "NegAndE-v-in-major", "NegAndE-u-in-minor-2",
+        "NegAndE-v-in-minor-1", "BoxI"])
+def test_discharge_scope_enforced(tag, conclusion, premises, discharges, open_in, scope):
+    bad = nd.Rule(tag, conclusion, premises, discharges)
+    marker = discharges[scope - 1][0]
+    with pytest.raises(nd.DischargeError) as caught:
         nd.check(bad)
+    assert str(caught.value) == (f"marker {marker!r} is open in premise {open_in} of {tag}, "
+                                 f"outside its discharge scope (premise {scope})")
 
 
 def test_discharge_class_formula_must_match():
