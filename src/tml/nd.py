@@ -22,6 +22,7 @@ classes (vacuous discharge) are fine.
 
 import itertools
 import operator
+import re
 
 from .errors import InvariantViolation
 from .hashcons import Frozen
@@ -40,6 +41,7 @@ from .syntax import (
     match,
     parse,
     render,
+    variables,
 )
 
 
@@ -376,84 +378,29 @@ def ma(f):
     return MA(instantiate(_MA_SHAPE, {"a": f}))
 
 
-def and_i(d1, d2):
-    return _build("AndI", (d1, d2))
+def _constructor(tag):
+    """The builder of tag's rule, named after it in snake case (AndI is
+    and_i).  It takes the premises, then one marker per discharge, then
+    the conclusion's metavariables that no premise binds, in alphabetical
+    order (b for OrI1, c for BotE), and calls _build."""
+    premises, conclusion, discharges = _SCHEMAS[tag]
+    free = sorted(variables(conclusion).difference(*map(variables, premises)))
+    n, k = len(premises), len(premises) + len(discharges)
+    name = re.sub(r"\B(?=[A-Z])", "_", tag).lower()
+
+    def construct(*args):
+        if len(args) != k + len(free):
+            raise TypeError(f"{name}() takes {k + len(free)} arguments ({len(args)} given)")
+        return _build(tag, args[:n], args[n:k], **dict(zip(free, args[k:])))
+
+    construct.__name__ = construct.__qualname__ = name
+    return construct
 
 
-def and_e1(d):
-    return _build("AndE1", (d,))
-
-
-def and_e2(d):
-    return _build("AndE2", (d,))
-
-
-def neg_and_i1(d, other):
-    return _build("NegAndI1", (d,), b=other)
-
-
-def neg_and_i2(d, other):
-    return _build("NegAndI2", (d,), a=other)
-
-
-def neg_and_e(major, minor1, minor2, u, v):
-    return _build("NegAndE", (major, minor1, minor2), (u, v))
-
-
-def or_i1(d, other):
-    return _build("OrI1", (d,), b=other)
-
-
-def or_i2(d, other):
-    return _build("OrI2", (d,), a=other)
-
-
-def or_e(major, minor1, minor2, u, v):
-    return _build("OrE", (major, minor1, minor2), (u, v))
-
-
-def neg_or_i(d1, d2):
-    return _build("NegOrI", (d1, d2))
-
-
-def neg_or_e1(d):
-    return _build("NegOrE1", (d,))
-
-
-def neg_or_e2(d):
-    return _build("NegOrE2", (d,))
-
-
-def neg_neg_i(d):
-    return _build("NegNegI", (d,))
-
-
-def neg_neg_e(d):
-    return _build("NegNegE", (d,))
-
-
-def box_i(d, bot_deriv, marker):
-    return _build("BoxI", (d, bot_deriv), (marker,))
-
-
-def box_e(d):
-    return _build("BoxE", (d,))
-
-
-def neg_box_i(d):
-    return _build("NegBoxI", (d,))
-
-
-def neg_box_e(major, minor):
-    return _build("NegBoxE", (major, minor))
-
-
-def bot_i(d):
-    return _build("BotI", (d,))
-
-
-def bot_e(d, f):
-    return _build("BotE", (d,), c=f)
+# One constructor per row of _SCHEMAS, in its order.
+(and_i, and_e1, and_e2, neg_and_i1, neg_and_i2, neg_and_e, or_i1, or_i2, or_e,
+ neg_or_i, neg_or_e1, neg_or_e2, neg_neg_i, neg_neg_e, box_i, box_e, neg_box_i,
+ neg_box_e, bot_i, bot_e) = map(_constructor, _SCHEMAS)
 
 
 # --- segments, cuts, normality ------------------------------------------------
@@ -647,14 +594,16 @@ def is_normal(proof):
 
 
 def all_markers(proof):
-    out = set()
-    for t in _subtrees(proof):
-        kind = type(t)
-        if kind is Rule:
-            out.update(m for m, _ in t.discharges)
-        elif kind is Assume and t.marker is not None:
-            out.add(t.marker)
-    return out
+    """Every marker the proof names, on a leaf or in a discharge.  Each
+    distinct node is visited once, so a shared subproof costs its size."""
+    nodes, stack = {}, [proof]
+    while stack:
+        t = stack.pop()
+        if type(t) is Rule and id(t) not in nodes:
+            stack += t.premises
+        nodes[id(t)] = t
+    return ({m for t in nodes.values() if type(t) is Rule for m, _ in t.discharges}
+            | {t.marker for t in nodes.values() if type(t) is Assume and t.marker is not None})
 
 
 def _bound_markers(trees):

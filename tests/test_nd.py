@@ -1,6 +1,7 @@
 import inspect
 import random
 import re
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from tml.syntax import (
     ParseError,
     Var,
     complexity,
+    instantiate,
     parse,
     render,
     subformulas,
@@ -37,6 +39,7 @@ from tml.syntax import (
 
 P = Var("p")
 Q = Var("q")
+R = Var("r")
 
 
 def judgement(proof):
@@ -70,6 +73,57 @@ def test_record_constructors_take_their_fields_in_order(record, signature, missi
     with pytest.raises(TypeError) as raised:
         record()
     assert str(raised.value) == f"{record.__name__}.__init__() missing {missing}"
+
+
+# Each rule constructor with its tag and the arguments it takes, in order:
+# (premises, discharges, free metavariables of the conclusion).
+RULE_CONSTRUCTORS = [
+    ("and_i", "AndI", (2, 0, 0)),
+    ("and_e1", "AndE1", (1, 0, 0)),
+    ("and_e2", "AndE2", (1, 0, 0)),
+    ("neg_and_i1", "NegAndI1", (1, 0, 1)),
+    ("neg_and_i2", "NegAndI2", (1, 0, 1)),
+    ("neg_and_e", "NegAndE", (3, 2, 0)),
+    ("or_i1", "OrI1", (1, 0, 1)),
+    ("or_i2", "OrI2", (1, 0, 1)),
+    ("or_e", "OrE", (3, 2, 0)),
+    ("neg_or_i", "NegOrI", (2, 0, 0)),
+    ("neg_or_e1", "NegOrE1", (1, 0, 0)),
+    ("neg_or_e2", "NegOrE2", (1, 0, 0)),
+    ("neg_neg_i", "NegNegI", (1, 0, 0)),
+    ("neg_neg_e", "NegNegE", (1, 0, 0)),
+    ("box_i", "BoxI", (2, 1, 0)),
+    ("box_e", "BoxE", (1, 0, 0)),
+    ("neg_box_i", "NegBoxI", (1, 0, 0)),
+    ("neg_box_e", "NegBoxE", (2, 0, 0)),
+    ("bot_i", "BotI", (1, 0, 0)),
+    ("bot_e", "BotE", (1, 0, 1)),
+]
+
+
+def test_every_rule_has_a_constructor():
+    assert {tag for _, tag, _ in RULE_CONSTRUCTORS} == nd.TAGS
+
+
+@pytest.mark.parametrize("name, tag, arity", RULE_CONSTRUCTORS,
+                         ids=[name for name, _, _ in RULE_CONSTRUCTORS])
+def test_rule_constructors_take_premises_markers_then_free_metavariables(name, tag, arity):
+    build = getattr(nd, name)
+    assert build.__name__ == name
+    n_premises, n_discharges, n_free = arity
+    binding = {"a": P, "b": Q, "c": R}
+    premises = [nd.Assume(instantiate(pattern, binding)) for pattern in nd._SCHEMAS[tag][0]]
+    assert len(premises) == n_premises
+    markers = ["u", "v"][:n_discharges]
+    args = [*premises, *markers, *[parse("s")] * n_free]
+    rule = build(*args)
+    assert (rule.tag, rule.premises) == (tag, tuple(premises))
+    assert [m for m, _ in rule.discharges] == markers
+    assert nd.check(rule).conclusion == rule.conclusion
+    for wrong in (args[:-1], args + [R]):
+        with pytest.raises(TypeError) as raised:
+            build(*wrong)
+        assert str(raised.value) == f"{name}() takes {len(args)} arguments ({len(wrong)} given)"
 
 
 def test_rule_keeps_premises_and_discharges_as_tuples():
@@ -280,7 +334,6 @@ def _carrying(f, marker, g):
     return nd.and_e2(nd.and_i(nd.Assume(f, marker), nd.Assume(g)))
 
 
-R = Var("r")
 NP, NQ = Neg(P), Neg(Q)
 _OR_E = (("u", P), ("v", Q))
 _NEG_AND_E = (("u", NP), ("v", NQ))
@@ -342,6 +395,23 @@ def test_check_visits_each_shared_node_once(monkeypatch):
     assert nd.check(d) == nd.Judgement(frozenset([P]), P)
     assert len(visits) == 24
     assert set(visits.values()) == {1}
+
+
+def test_all_markers_visits_each_shared_node_once():
+    # 10,000 levels of d = and_e1(and_i(d, d)): 20,003 distinct nodes, but
+    # a tree walk would visit more than 2**10,000.
+    d = nd.box_i(nd.Assume(P, "u"), nd.Assume(Bot()), "w")
+    for _ in range(10_000):
+        d = nd.and_e1(nd.and_i(d, d))
+    start = time.perf_counter()
+    assert nd.all_markers(d) == {"u", "w"}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_rejects_what_is_not_a_proof_node():
+    for proof, named in (("x", "'x'"), (nd.Rule("AndE1", P, ["p"]), "'p'")):
+        with pytest.raises(nd.SchemaError, match=f"^not a proof node: {named}$"):
+            nd.check(proof)
 
 
 def test_shared_discharge_fails_as_in_the_tree():

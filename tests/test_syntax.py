@@ -97,6 +97,7 @@ def test_parse_unary_and_parens():
         pytest.param(" | ".join(["p"] * (MAX_DEPTH + 2)), 403, id="or-chain"),
         pytest.param("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH + " & p", 203, id="parens-and"),
         pytest.param("~" * MAX_DEPTH + "(p)", 101, id="prefixes-parens"),
+        pytest.param("(" + " & ".join(["p"] * (MAX_DEPTH + 1)) + ")", 1, id="and-chain-in-parens"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
@@ -326,6 +327,26 @@ def test_connectives_take_formulas_only():
         with pytest.raises(TypeError, match="^not a formula: "):
             build()
     assert len(hashcons.TABLE) == before
+
+
+def test_walks_take_formulas_only():
+    for walk, value in ((render, 3), (complexity, "p"), (lambda f: evaluate(f, {}), 3)):
+        with pytest.raises(TypeError, match=f"^not a formula: {value!r}$"):
+            walk(value)
+
+
+def test_enter_keeps_a_live_node_and_replaces_a_dead_one():
+    class Gone:
+        pass
+
+    key = (Var, "dead_probe")
+    hashcons.TABLE[key] = weakref.ref(Gone())
+    assert hashcons.TABLE[key]() is None
+    f = Var("dead_probe")
+    assert type(f) is Var and f.name == "dead_probe"
+    assert hashcons.TABLE[key]() is f
+    assert hashcons.enter(key, object.__new__(Var)) is f
+    assert hashcons.TABLE[key]() is f
 
 
 def test_translation_keeps_the_variables():

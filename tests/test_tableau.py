@@ -1138,7 +1138,7 @@ def test_concurrent_calls_leave_the_collector_on(restore_collector):
     def work():
         try:
             for f in formulas:
-                decide(f, Signature.FULL)
+                complete([F(translate(f, Signature.FULL))], Signature.FULL)
         except Exception as error:  # reported by the assertion below
             errors.append(error)
 
@@ -1190,7 +1190,7 @@ def test_a_call_that_finds_the_collector_off_leaves_it_alone(monkeypatch):
 
     def call_b():
         try:
-            decide(parse("p > q"), Signature.SUCC)
+            complete([F(parse("p > q"))], Signature.SUCC)
         except Exception as error:  # reported by the assertion below
             errors.append(error)
 
