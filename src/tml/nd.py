@@ -5,14 +5,17 @@ from Assume leaves (optionally marked for later discharge), MA leaves (the
 axiom f | ~[]f), and Rule nodes.  check() validates every node against its
 rule schema and the discharge discipline and returns the judgement; analyze()
 finds segments and cuts; normalize() removes all critical cuts, first pushing
-bot-eliminations down to literals with atomize_bot().
+bot-eliminations down to literals with atomize_bot().  Cuts are found
+from per-node summaries, and a normalization step summarizes only the nodes
+its conversion builds.
 
 Each rule is one schema in _SCHEMAS, and the rest of the module reads every
-rule property off that table: the rule sets, check()'s discharge scopes, the
-rule constructors, the detour conversions and bot atomization.  Two
-conventions tie them to the schemas.  A rule's name marks it as an
-introduction (...I, ...I1, ...I2) or an elimination (...E, ...E1, ...E2),
-and discharge k scopes over premise k + 1.
+rule property off that table: the rule sets, check()'s fit tests (each row
+compiled once, on first use) and discharge scopes, the rule constructors, the
+detour conversions and bot atomization.  Two conventions tie them to the
+schemas.  A rule's name marks it as an introduction (...I, ...I1, ...I2) or
+an elimination (...E, ...E1, ...E2), and discharge k scopes over premise
+k + 1.
 
 Discharge discipline: a marker names one assumption class (all its Assume
 leaves carry the same formula); each marker is discharged by at most one rule
@@ -249,9 +252,78 @@ def _expect_premises(tag, patterns, premises, binding):
             raise _mismatch(tag, role, pattern, f, binding)
 
 
+def _fit_source(tag):
+    """The source of fit_<tag>(node), tag's compiled schema row: whether a
+    Rule node has the row's premise and discharge counts and fits every
+    pattern.  It tests each connective's type at its attribute path, binds
+    a metavariable at its first occurrence (premises, then conclusion, then
+    discharges, as _schema_error matches them) and compares each later
+    occurrence by identity, since formulas are interned."""
+    premises, conclusion, discharges = _SCHEMAS[tag]
+    lines = [f"def fit_{tag}(node):",
+             "    premises, discharges = node.premises, node.discharges",
+             f"    if len(premises) != {len(premises)} or len(discharges) != {len(discharges)}:",
+             "        return False"]
+    roots = []
+    for i, pattern in enumerate(premises):
+        lines.append(f"    p = premises[{i}]")
+        lines.append(f"    f{i} = p.conclusion if type(p) is Rule else p.formula")
+        roots.append((f"f{i}", pattern))
+    roots.append(("node.conclusion", conclusion))
+    for i, pattern in enumerate(discharges):
+        lines.append(f"    _, d{i} = discharges[{i}]")
+        roots.append((f"d{i}", pattern))
+    tests, bound, stack = [], {}, roots[::-1]
+    while stack:
+        path, pattern = stack.pop()
+        kind = type(pattern)
+        if kind is Var:
+            if pattern.name in bound:
+                tests.append(f"{path} is {bound[pattern.name]}")
+            else:
+                bound[pattern.name] = path
+        elif kind is Bot:
+            tests.append(f"{path} is BOT")
+        else:
+            tests.append(f"type({path}) is {kind.__name__}")
+            stack += [(f"{path}.{name}", getattr(pattern, name))
+                      for name in reversed(kind.__match_args__)]
+    lines.append(f"    return {' and '.join(tests)}")
+    return "\n".join(lines)
+
+
+class _Fits(dict):
+    """Each row's fit test, keyed by its tag and compiled on the first check
+    of that tag: compiling all twenty at import would cost more than the
+    rest of the module's import.  None for a tag with no row, which is not
+    kept."""
+
+    def __missing__(self, tag):
+        if tag not in TAGS:
+            return None
+        scope = {"Rule": Rule, "BOT": BOT, "And": And, "Or": Or, "Neg": Neg, "Box": Box}
+        exec(_fit_source(tag), scope)
+        fit = self[tag] = scope[f"fit_{tag}"]
+        return fit
+
+
+_FITS = _Fits()
+
+
 def _schema_check(node):
     """Shape-check one Rule node (premise conclusions vs conclusion vs
-    discharge formulas).  Assumes premises have been checked already."""
+    discharge formulas).  Assumes premises have been checked already.  The
+    row's fit test passes a node that fits; on any other, _schema_error
+    matches again to word the SchemaError."""
+    fit = _FITS[node.tag]
+    if fit is None or not fit(node):
+        _schema_error(node)
+
+
+def _schema_error(node):
+    """Raise the SchemaError for the first fault of a Rule node: an unknown
+    tag, a wrong discharge or premise count, then the first pattern, in the
+    order premises, conclusion, discharges, that the node does not match."""
     tag = node.tag
     if tag not in TAGS:
         raise SchemaError(f"unknown rule tag {tag!r}")
@@ -270,7 +342,9 @@ def _schema_check(node):
 
 def check(proof):
     """Validate the whole tree; returns Judgement(open_assumptions,
-    conclusion).  Raises SchemaError or DischargeError."""
+    conclusion).  Raises SchemaError or DischargeError.  A Rule node is
+    shape-checked by its row's compiled fit test; the generic matcher runs
+    only on a node that fails it, to word the SchemaError."""
     marker_formula = {}
     discharged = set()
     # No rule discharges an unmarked assumption, so one set holds them all.
@@ -724,12 +798,15 @@ def atomize_bot(proof):
 # --- conversions and normalization ---------------------------------------------
 
 
-def _convert(proof, start, length, supply):
+def _convert(proof, start, length, supply, memo, ranks):
     """The proof after the conversion at the cut that starts at the flat
-    path start and runs through length occurrences, and the conversion's
-    kind: 'detour' for a length-1 cut, 'removal' when the cut's last
-    del-rule has an empty assumption class in a minor premise, else
-    'permutation'.  Only the rules above the replaced node are rebuilt."""
+    path start and runs through length occurrences, the conversion's kind
+    ('detour' for a length-1 cut, 'removal' when the cut's last del-rule
+    has an empty assumption class in a minor premise, else 'permutation')
+    and the new proof's summary.  Only the rules above the replaced node are
+    rebuilt.  memo must hold the summary of every node of proof, as
+    _summarize leaves it; the reduct is summarized into it, and each
+    rebuilt rule from its premises' summaries there."""
     # One walk down start, as far as the cut's last occurrence, keeps the
     # spine; the consumer, whose major premise that occurrence is, stands
     # just above it.
@@ -771,10 +848,13 @@ def _convert(proof, start, length, supply):
                            for minor, (trees, discharges) in zip(final.premises[1:], units))
             kind, new = "permutation", Rule(final.tag, consumer.conclusion,
                                             (final.premises[0], *pushed), final.discharges)
+    summary = _summarize(new, memo, ranks)
     for t, i in zip(reversed(spine[:at]), reversed(start[:at])):
-        new = Rule(t.tag, t.conclusion, t.premises[:i] + (new,) + t.premises[i + 1:],
-                   t.discharges)
-    return new, kind
+        premises = list(t.premises)
+        premises[i] = new
+        new = Rule(t.tag, t.conclusion, premises, t.discharges)
+        summary = memo[id(new)] = _summarize_node(new, [memo[id(p)] for p in premises], ranks)
+    return new, kind, summary
 
 
 def normalize(proof, observer=None):
@@ -782,10 +862,14 @@ def normalize(proof, observer=None):
     repeatedly convert the critical cut whose start position is rightmost
     (lexicographically greatest), until none remain.  Each step must strictly
     shrink (cutrank, total critical length); if not, something is wrong with
-    the engine and InvariantViolation is raised."""
+    the engine and InvariantViolation is raised.
+
+    The proof is summarized once, after atomization.  From then on a step
+    costs what its conversion builds: _convert summarizes the reduct and
+    each rebuilt rule on the path above it, and hands back the root's
+    summary, so no step walks the proof from its root."""
     check(proof)
-    # Summaries of every node met in this call: a step summarizes only the
-    # nodes its conversion built, the rebuilt spine included.
+    # Summaries of every node met in this call, keyed by id.
     memo, ranks = {}, {}
     result = atomize_bot(proof)
     summary = _summarize(result, memo, ranks)
@@ -795,8 +879,8 @@ def normalize(proof, observer=None):
     step = 1
     while summary[_RANK] >= 0:
         formula = summary[11]
-        result, kind = _convert(result, *_critical_cut(summary), _fresh_markers(result))
-        summary = _summarize(result, memo, ranks)
+        result, kind, summary = _convert(result, *_critical_cut(summary),
+                                         _fresh_markers(result), memo, ranks)
         new_measure = _measure(summary)
         if not new_measure < measure:
             raise InvariantViolation(
@@ -881,22 +965,31 @@ def builtin_examples():
 
 
 def to_json(proof):
-    return _fold_proof(proof, _leaf_json, _rule_json)
+    """The proof's JSON object, the form from_json reads.  Each distinct
+    formula is rendered once per call: a del rule repeats its conclusion in
+    its minor premises, and assumptions recur."""
+    rendered = {}
 
+    def text(f):
+        s = rendered.get(f)
+        if s is None:
+            s = rendered[f] = render(f)
+        return s
 
-def _leaf_json(t):
-    if type(t) is MA:
-        return {"rule": "MA", "formula": render(t.formula)}
-    return {"rule": "Assume", "formula": render(t.formula), "marker": t.marker}
+    def leaf(t):
+        if type(t) is MA:
+            return {"rule": "MA", "formula": text(t.formula)}
+        return {"rule": "Assume", "formula": text(t.formula), "marker": t.marker}
 
+    def rule(t, premises):
+        return {
+            "rule": t.tag,
+            "conclusion": text(t.conclusion),
+            "premises": list(premises),
+            "discharges": [{"marker": m, "formula": text(f)} for m, f in t.discharges],
+        }
 
-def _rule_json(t, premises):
-    return {
-        "rule": t.tag,
-        "conclusion": render(t.conclusion),
-        "premises": list(premises),
-        "discharges": [{"marker": m, "formula": render(f)} for m, f in t.discharges],
-    }
+    return _fold_proof(proof, leaf, rule)
 
 
 MAX_PROOF_DEPTH = 200

@@ -368,15 +368,18 @@ class _Triples(dict):
     """One _search call's memo: a (sign, formula, kind) triple's
     (alternatives, label), the compiled rule's lists of triples as they
     are, built on first use.  Every path that expands the triple reads the
-    same lists, so none may change them."""
+    same lists, so none may change them.  The system's row table is read
+    once per call; _rule words the SignatureError of a missing row."""
 
     def __init__(self, system):
         super().__init__()
         self.system = system
+        self.index = _INDEX[system]
 
     def __missing__(self, triple):
         sign, formula, _ = triple
-        label, rule = _rule(sign, formula, self.system)
+        label, rule = (self.index.get((sign, *_shape(formula)))
+                       or _rule(sign, formula, self.system))
         row = self[triple] = rule(formula), label
         return row
 

@@ -138,7 +138,11 @@ def reference_analyze(proof):
 def convert_at(proof, cut):
     """The (proof, kind) of one conversion step at cut, a cut segment of
     nd.analyze(proof)."""
-    return nd._convert(proof, cut.positions[0], cut.length, nd._fresh_markers(proof))
+    memo, ranks = {}, {}
+    nd._summarize(proof, memo, ranks)
+    out, kind, _ = nd._convert(proof, cut.positions[0], cut.length, nd._fresh_markers(proof),
+                               memo, ranks)
+    return out, kind
 
 
 # The node types of each language, keyed by its signature bit.

@@ -1,5 +1,6 @@
-"""Normalization pinned end to end, cut analysis against a reference, and
-the work a normalization step does and does not do."""
+"""Normalization pinned end to end, cut analysis against a reference, the
+work a normalization step does and does not do, and check's compiled fit
+tests against the matcher that words their errors."""
 
 import gc
 import hashlib
@@ -9,7 +10,7 @@ import random
 from helpers import convert_at, reference_analyze
 from proofgen import random_injected_proof, random_proof
 from tml import hashcons, nd
-from tml.syntax import And, Bot, Box, Neg, Var
+from tml.syntax import And, Bot, Box, Neg, Or, Var, instantiate
 
 P = Var("p")
 Q = Var("q")
@@ -123,7 +124,7 @@ def test_normalize_never_analyzes(monkeypatch):
 
 
 def test_a_step_summarizes_only_the_nodes_it_built(monkeypatch):
-    # Each step's summary work is counted between two conversions and
+    # Each step's summary work is counted inside its conversion and
     # compared with the nodes the conversion built: the rebuilt spine plus
     # any new subtree.  Without the per-call memo a step would summarize the
     # whole proof again, the Assume(q) leaves off the spine included.
@@ -139,8 +140,9 @@ def test_a_step_summarizes_only_the_nodes_it_built(monkeypatch):
     real = nd._convert
 
     def convert(proof, *rest):
+        start = len(made)
         out = real(proof, *rest)
-        steps.append((proof, out[0], len(made)))
+        steps.append((proof, out[0], start, len(made)))
         return out
 
     monkeypatch.setattr(nd, "_summarize_node", counted(nd._summarize_node))
@@ -152,11 +154,134 @@ def test_a_step_summarizes_only_the_nodes_it_built(monkeypatch):
     assert nd.normalize(d) == nd.Assume(P)
     assert len(steps) == 100
     assert steps[0][2] == 301  # the first summary visits every node once
-    ends = [made_before for _, _, made_before in steps[1:]] + [len(made)]
-    for (before, after, start), end in zip(steps, ends):
+    # No summary work between two steps or after the last.
+    assert [start for _, _, start, _ in steps[1:]] + [len(made)] == [
+        end for _, _, _, end in steps]
+    for before, after, start, end in steps:
         old = {id(t) for t in nd._subtrees(before)}
         built = {id(t) for t in nd._subtrees(after)} - old
         assert end - start == len(built)
+
+
+def test_every_step_carries_the_summary_of_its_result(monkeypatch):
+    # The summary _convert hands back is built from the reduct up the
+    # rebuilt path; it must equal a summary of the result from scratch.
+    real = nd._convert
+    checked = []
+
+    def convert(*args):
+        out = real(*args)
+        assert out[2] == nd._summarize(out[0], {}, {})
+        checked.append(out[1])
+        return out
+
+    monkeypatch.setattr(nd, "_convert", convert)
+    for proof in _proof_pool(500):
+        nd.normalize(proof)
+    assert set(checked) == {"detour", "permutation", "removal"}
+    d = nd.Assume(P)
+    for _ in range(100):
+        d = nd.and_e1(nd.and_i(d, nd.Assume(Q)))
+    checked.clear()
+    assert nd.normalize(d) == nd.Assume(P)
+    assert len(checked) == 100
+
+
+def _fits(node):
+    """Whether the node's compiled fit test accepts it, and whether the
+    matcher behind the SchemaError messages does."""
+    fit = nd._FITS[node.tag]
+    try:
+        nd._schema_error(node)
+        matched = True
+    except nd.SchemaError:
+        matched = False
+    return fit is not None and fit(node), matched
+
+
+def _replace_at(f, path, g):
+    """f with its subformula at the attribute path replaced by g."""
+    if not path:
+        return g
+    name, rest = path[0], path[1:]
+    return type(f)(*(_replace_at(getattr(f, n), rest, g) if n == name else getattr(f, n)
+                     for n in f.__match_args__))
+
+
+def _sub_at(f, path):
+    for name in path:
+        f = getattr(f, name)
+    return f
+
+
+def _pattern_paths(pattern):
+    """(path, subpattern) for every position of a pattern, in preorder."""
+    yield (), pattern
+    if type(pattern) is not Var and type(pattern) is not Bot:
+        for name in pattern.__match_args__:
+            for path, sub in _pattern_paths(getattr(pattern, name)):
+                yield (name, *path), sub
+
+
+_SWAP = {And: Or, Or: And, Neg: Box, Box: Neg}
+
+
+def _wrong_connective(f):
+    kind = type(f)
+    return _SWAP[kind](*map(f.__getattribute__, kind.__match_args__)) if kind in _SWAP else Neg(f)
+
+
+def _row_mutants(tag):
+    """A node that fits tag's row, then mutants of it: a wrong connective at
+    each pattern position, a metavariable bound to a second formula at each
+    of its occurrences, and one premise or discharge too many or too few."""
+    premises, conclusion, discharges = nd._SCHEMAS[tag]
+    binding = {"a": Var("p"), "b": And(Var("q"), Neg(Var("r"))), "c": Box(Var("p"))}
+    formulas = [instantiate(f, binding) for f in (*premises, conclusion, *discharges)]
+
+    def node(formulas, extra_premises=0, extra_discharges=0):
+        n = len(premises)
+        ps = [nd.Assume(f) for f in formulas[:n]] + [nd.Assume(P)]
+        ds = [(f"m{i}", f) for i, f in enumerate(formulas[n + 1:])] + [("mx", P)]
+        return nd.Rule(tag, formulas[n], ps[:n + extra_premises],
+                       ds[:len(discharges) + extra_discharges])
+
+    yield node(formulas)
+    patterns = (*premises, conclusion, *discharges)
+    for root, pattern in enumerate(patterns):
+        for path, sub in _pattern_paths(pattern):
+            at = formulas[root]
+            for g in ([_wrong_connective(_sub_at(at, path))]
+                      + ([Var("s")] if type(sub) is Var else [])):
+                mutant = list(formulas)
+                mutant[root] = _replace_at(at, path, g)
+                yield node(mutant)
+    for extra in (1, -1):
+        yield node(formulas, extra_premises=extra)
+        if discharges or extra > 0:
+            yield node(formulas, extra_discharges=extra)
+
+
+def test_fit_tests_agree_with_the_matcher():
+    # Every Rule node of the pool, every row's mutants and an unknown tag:
+    # the fit test accepts a node exactly when the matcher raises nothing.
+    seen = {}  # id -> node, holding each node so that its id stays its own
+    for proof in _proof_pool(500):
+        for t in nd._subtrees(proof):
+            if type(t) is nd.Rule and id(t) not in seen:
+                seen[id(t)] = t
+                assert _fits(t) == (True, True)
+    verdicts = []
+    for tag in nd._SCHEMAS:
+        for i, mutant in enumerate(_row_mutants(tag)):
+            fit, matched = _fits(mutant)
+            assert fit == matched, (tag, mutant)
+            assert i > 0 or fit, tag
+            verdicts.append(fit)
+    assert _fits(nd.Rule("NoSuchRule", P, (nd.Assume(P),))) == (False, False)
+    assert "NoSuchRule" not in nd._FITS
+    assert len(seen) == 3350
+    assert (len(verdicts), verdicts.count(False)) == (254, 216)
 
 
 def _counting_all_markers(monkeypatch):
