@@ -869,8 +869,9 @@ def normalize(proof, observer=None):
     each rebuilt rule on the path above it, and hands back the root's
     summary, so no step walks the proof from its root."""
     check(proof)
-    # Summaries of every node met in this call, keyed by id.
-    memo, ranks = {}, {}
+    # Summaries of every node met in this call, keyed by id, and the text of
+    # each cut formula reported to the observer.
+    memo, ranks, rendered = {}, {}, _Rendered()
     result = atomize_bot(proof)
     summary = _summarize(result, memo, ranks)
     measure = _measure(summary)
@@ -889,7 +890,7 @@ def normalize(proof, observer=None):
             )
         if observer is not None:
             observer({"step": step, "kind": kind,
-                      "formula": render(formula), "measure": new_measure})
+                      "formula": rendered[formula], "measure": new_measure})
         measure = new_measure
         step += 1
     return result
@@ -968,13 +969,7 @@ def to_json(proof):
     """The proof's JSON object, the form from_json reads.  Each distinct
     formula is rendered once per call: a del rule repeats its conclusion in
     its minor premises, and assumptions recur."""
-    rendered = {}
-
-    def text(f):
-        s = rendered.get(f)
-        if s is None:
-            s = rendered[f] = render(f)
-        return s
+    text = _Rendered().__getitem__
 
     def leaf(t):
         if type(t) is MA:
@@ -990,6 +985,14 @@ def to_json(proof):
         }
 
     return _fold_proof(proof, leaf, rule)
+
+
+class _Rendered(dict):
+    """render(f) keyed by the formula f, rendered on its first lookup."""
+
+    def __missing__(self, f):
+        s = self[f] = render(f)
+        return s
 
 
 MAX_PROOF_DEPTH = 200

@@ -1,9 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from helpers import fold_and, modal_ladder, random_formula
-from tml.algebra import MEET, check_identity, check_quasi_identity, leq
+from tml import semantics
+from tml.algebra import (
+    BINARY_OPS,
+    MEET,
+    NULLARY_OPS,
+    UNARY_OPS,
+    VALUES,
+    check_identity,
+    check_quasi_identity,
+    leq,
+)
 from tml.semantics import (
     CONJUGATE,
     TooManyVariables,
@@ -16,7 +28,7 @@ from tml.semantics import (
     valid,
     valuations,
 )
-from tml.syntax import Succ, Var, parse, render, variables
+from tml.syntax import TOP, And, Dia, Succ, Var, parse, render, variables
 
 
 def test_evaluate_pins():
@@ -167,6 +179,106 @@ def test_conjugation_is_an_automorphism():
         f = random_formula(rng, names=("p", "q"), depth=4)
         for h in valuations(variables(f)):
             assert evaluate(f, conjugate(h)) == CONJUGATE[evaluate(f, h)]
+
+
+def test_conjugation_commutes_with_every_table():
+    # countermodel skips a valuation when its conjugate came first, which is
+    # sound only if the swap commutes with every connective on every input.
+    assert sorted(CONJUGATE) == sorted(VALUES)
+    assert all(CONJUGATE[CONJUGATE[v]] == v for v in VALUES)
+    assert set(NULLARY_OPS) == {"bot", "top"}
+    assert set(UNARY_OPS) == {"neg", "box", "dia"}
+    assert set(BINARY_OPS) == {"and", "or", "succ"}
+    for value in NULLARY_OPS.values():
+        assert CONJUGATE[value] == value
+    for table in UNARY_OPS.values():
+        assert sorted(table) == sorted(VALUES)
+        for v in VALUES:
+            assert table[CONJUGATE[v]] == CONJUGATE[table[v]]
+    for table in BINARY_OPS.values():
+        assert len(table) == 16
+        for x in VALUES:
+            for y in VALUES:
+                assert table[(CONJUGATE[x], CONJUGATE[y])] == CONJUGATE[table[(x, y)]]
+
+
+def _witness_pool():
+    """Formulas for countermodel, (premises, conclusion) pairs for
+    consequence_countermodel and (lhs, rhs) pairs for check_identity, over
+    0 to 6 variables, bot and top included."""
+    rng = random.Random(3232)
+    names = ("p", "q", "r", "s", "t", "u")
+    closed = ("bot", "top", "~bot", "[]top", "<>bot", "top > bot",
+              "~(bot | top) & <>top", "[]<>top > bot")
+    formulas, consequences, identities = [parse(t) for t in closed], [], []
+    for k in range(1, 7):
+        # Constantly 1, so that each countermodel binds all k names.
+        spread = fold_and([Var(x) for x in names[:k]])
+        spread = Succ(spread, spread)
+        for _ in range(30):
+            a = random_formula(rng, names=names[:k], depth=4)
+            b = random_formula(rng, names=names[:k], depth=4)
+            formulas.append(And(a, spread))
+            # 1 where a or b is 0, and 0 where both are not but a & b is,
+            # so that a countermodel holds both n and b.
+            formulas.append(Succ(And(Dia(a), Dia(b)), Dia(And(a, b))))
+            consequences.append(([a, b], random_formula(rng, names=names[:k], depth=3)))
+            consequences.append(([Dia(a), Dia(b)], Dia(And(a, b))))
+            identities.append((And(a, spread), b))
+            identities.append((Dia(And(a, b)), And(Dia(a), Dia(b))))
+    return formulas, consequences, identities
+
+
+def test_witnesses_are_pinned():
+    # The first countermodel of every search, which the skip in countermodel
+    # must leave as it was when every valuation was evaluated.
+    formulas, consequences, identities = _witness_pool()
+    witnesses = ([countermodel(f) for f in formulas]
+                 + [consequence_countermodel(p, c) for p, c in consequences]
+                 + [check_identity(l, r).witness for l, r in identities])
+    assert len(witnesses) == 1088
+    found = [h for h in witnesses if h is not None]
+    assert len(found) == 476
+    assert {len(h) for h in found} == set(range(7))
+    # Each first countermodel's first n-or-b value, if any, is n: the
+    # conjugate of one whose first is b comes earlier and fails too.
+    firsts = ["".join(h.values()).strip("01") for h in found]
+    assert all(not s or s[0] == "n" for s in firsts)
+    assert sum("b" in s for s in firsts) == 53
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert digest == "38ebc599c9bb4b854d004e84009c15f7bbd71c71cefd10282f066fef32244001"
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_a_valid_formula_is_evaluated_at_half_the_valuations(monkeypatch, k):
+    names = ("p", "q", "r", "s", "t")[:k]
+    f = Succ(fold_and([Var(x) for x in names]), TOP) if names else TOP
+    evaluated, yielded = [], []
+
+    def counting_evaluate(g, h):
+        if g is f:
+            evaluated.append(h)
+        return evaluate(g, h)
+
+    def counting_valuations(names):
+        for h in valuations(names):
+            yielded.append(h)
+            yield h
+
+    monkeypatch.setattr(semantics, "evaluate", counting_evaluate)
+    # The traced benchmark pass counts the search's valuations this way.
+    monkeypatch.setattr(semantics, "valuations", counting_valuations)
+    assert countermodel(f) is None
+    assert len(yielded) == 4**k
+    assert len(evaluated) == (4**k + 2**k) // 2
+    assert evaluated[0] == dict.fromkeys(names, "0")
+    # Each valuation left out has an evaluated conjugate earlier in the order.
+    position = {tuple(h.values()): i for i, h in enumerate(yielded)}
+    kept = {tuple(h.values()) for h in evaluated}
+    for h in yielded:
+        if tuple(h.values()) not in kept:
+            twin = tuple(conjugate(h).values())
+            assert twin in kept and position[twin] < position[tuple(h.values())]
 
 
 def test_truth_table():
