@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 
-from . import nd
 from .algebra import (
     BINARY_OPS,
     NULLARY_OPS,
@@ -41,7 +40,11 @@ from .syntax import (
     translate,
     variables,
 )
-from .tableau import Proved, decide, format_tableau
+
+# tml.nd and tml.tableau are imported in the handlers that use them, so that
+# no other command loads them.  The handlers call parse, decide, countermodel
+# and consequence_countermodel through this module's globals, where
+# perfbench's traced pass swaps them.
 
 _SYMBOL_OPS = {
     "~": "neg", "[]": "box", "<>": "dia",
@@ -225,7 +228,16 @@ def _cmd_consequence(args):
     return _judged(model, "holds", "fails")
 
 
+def decide(f, system, derived=False):
+    """tml.tableau.decide, loaded on the first call."""
+    from .tableau import decide
+
+    return decide(f, system, derived=derived)
+
+
 def _cmd_prove(args):
+    from .tableau import Proved, format_tableau
+
     f = _read_formula_arg(args.formula)
     verdict = decide(f, Signature(args.system), derived=args.derived)
     model = None if isinstance(verdict, Proved) else verdict.model
@@ -241,8 +253,15 @@ def _cmd_translate(args):
     return {"formula": render(g)}, render(g)
 
 
+def _ill_formed(e):
+    """The verdict on a proof that nd.check rejects with e."""
+    return {"verdict": "ill-formed", "error": str(e)}, f"ILL-FORMED  {e}"
+
+
 def _load_proof(path):
     import json  # here and below, not at the top: only some commands read or write JSON
+
+    from . import nd
 
     data = _read_stdin() if path == "-" else _read_file(path)
     try:
@@ -258,11 +277,15 @@ def _load_proof(path):
 
 
 def _cmd_nd_check(args):
+    from . import nd
+
     proof = _load_proof(args.file)
-    judgement = nd.check(proof)
+    try:
+        judgement, normal = nd.check(proof), nd.is_normal(proof)
+    except (nd.SchemaError, nd.DischargeError) as e:
+        return _ill_formed(e)
     opens = sorted(render(f) for f in judgement.open_assumptions)
     conclusion = render(judgement.conclusion)
-    normal = nd.is_normal(proof)
     obj = {
         "verdict": "ok",
         "open_assumptions": opens,
@@ -277,6 +300,8 @@ def _cmd_nd_check(args):
 def _cmd_nd_normalize(args):
     import json
 
+    from . import nd
+
     proof = _load_proof(args.file)
     observer = None
     if args.trace:
@@ -284,7 +309,10 @@ def _cmd_nd_normalize(args):
             label = f" {event['formula']}" if event["formula"] else ""
             print(f"step {event['step']}: {event['kind']}{label} "
                   f"measure={event['measure']}", file=sys.stderr)
-    result = nd.to_json(nd.normalize(proof, observer=observer))
+    try:
+        result = nd.to_json(nd.normalize(proof, observer=observer))
+    except (nd.SchemaError, nd.DischargeError) as e:
+        return _ill_formed(e)
     return {"verdict": "ok", "proof": result}, json.dumps(result, indent=2)
 
 
@@ -403,8 +431,6 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 2
     try:
         obj, text = args.func(args)
-    except (nd.SchemaError, nd.DischargeError) as e:
-        obj, text = {"verdict": "ill-formed", "error": str(e)}, f"ILL-FORMED  {e}"
     except Exception as e:
         for kinds, code, message in _ERROR_EXIT:
             if isinstance(e, kinds):

@@ -19,13 +19,15 @@ TABLE is one C-level dict call, so interning needs no lock while the
 interpreter lock is held.
 """
 
-import weakref
+# From the C module, not weakref.py, which nothing else on a command line's
+# start-up loads: weakref.ref is _weakref.ref.
 from _weakref import _remove_dead_weakref  # the primitive WeakValueDictionary uses
+from _weakref import ref
 
 TABLE = {}
 
 
-class _Ref(weakref.ref):
+class _Ref(ref):
     # weakref.KeyedRef, but built in C: KeyedRef's __new__ and __init__ are
     # Python methods, which make it four times as slow to build.
     __slots__ = ("key",)
