@@ -8,9 +8,9 @@ subcommand to a JSON object tagged with "schema": 1.  Formula arguments may be
 given as `@path` to read the formula text from a file.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     BINARY_OPS,
@@ -332,103 +332,151 @@ def _cmd_identities(args):
     return obj, "\n".join(lines)
 
 
-# --- parser and dispatch -------------------------------------------------------
+# --- grammar, parser and dispatch ----------------------------------------------
+#
+# _COMMANDS declares the command line once.  build_parser builds argparse
+# from it, and _fast_parse reads it to parse the common command lines
+# without loading argparse (and with it gettext and locale).  Each
+# subcommand has its help, its handler, its positionals (name, nargs, help)
+# and its options (flag, takes a value, choices, required, help); every
+# subcommand also takes --json.  A command has either one positional with
+# nargs "*" or only positionals that take one word each.
+
+_FORMULA = ("formula", None, None)
+_PROOF_FILE = ("file", None, "proof JSON file, or - for stdin")
+_JSON = ("--json", False, None, False, "emit a JSON object")
+_SIGNATURES = ("succ", "full")
+
+_COMMANDS = {
+    "parse": ("parse a formula and print it back", _cmd_parse, (_FORMULA,), ()),
+    "table": ("print a connective's operation table", _cmd_table,
+              (("connective", None, None),), ()),
+    "eval": ("evaluate a formula", _cmd_eval, (_FORMULA,), (
+        ("--assign", True, None, False, "valuation, e.g. p=n,q=b"),
+        ("--vars", True, None, False, "pin and order the variable universe"),
+    )),
+    "valid": ("test validity by brute force", _cmd_valid, (_FORMULA,), ()),
+    "countermodel": ("find a non-designating valuation", _cmd_countermodel, (_FORMULA,), ()),
+    "consequence": ("test semantic consequence", _cmd_consequence, (("premises", "*", None),), (
+        ("--to", True, None, True, "conclusion formula"),
+    )),
+    "prove": ("decide a formula with a signed tableau", _cmd_prove, (_FORMULA,), (
+        ("--system", True, _SIGNATURES, True, None),
+        ("--derived", False, None, False, "use the derived two-premise rules (succ system)"),
+        ("--emit-tableau", False, None, False, "print the completed tableau"),
+    )),
+    "translate": ("rewrite a formula into a signature", _cmd_translate, (_FORMULA,), (
+        ("--to", True, _SIGNATURES, True, None),
+    )),
+    "nd-check": ("check a natural deduction proof", _cmd_nd_check, (_PROOF_FILE,), ()),
+    "nd-normalize": ("normalize a natural deduction proof", _cmd_nd_normalize, (_PROOF_FILE,), (
+        ("--trace", False, None, False, "print each conversion and the measure to stderr"),
+    )),
+    "identities": ("check the algebra identity suites", _cmd_identities, (), ()),
+}
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's stock formatter, except that it reads the terminal width
-    when it formats help or usage, not when it is built.  argparse builds
-    one per add_argument call only to check the metavar, and the stock
-    formatter reads the width there, which imports shutil (and with it
-    zlib, bz2, lzma and fnmatch) on every start."""
+def _fast_parse(argv):
+    """The namespace build_parser().parse_args(argv) returns, read off
+    _COMMANDS without argparse; None for any argv that is not a plain
+    command line.  Plain means: a subcommand, then its positionals and
+    exact option flags, each option that takes a value followed by one that
+    does not start with '-', and in the command with a "*" positional no
+    positional after an option.  Help, abbreviations, --opt=value, '--',
+    words like -1 that start with '-', and every usage error are None, so
+    argparse parses them and prints what it prints."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, positionals, options = _COMMANDS[argv[0]]
+    # argparse's attribute for a long option: --emit-tableau sets emit_tableau.
+    flags = {flag: (flag[2:].replace("-", "_"), takes_value, choices)
+             for flag, takes_value, choices, _, _ in (*options, _JSON)}
+    values = {dest: None if takes_value else False for dest, takes_value, _ in flags.values()}
+    star = [name for name, nargs, _ in positionals if nargs == "*"]
+    words, given = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            if token not in flags:
+                return None
+            dest, takes_value, choices = flags[token]
+            value = True
+            if takes_value:
+                value = next(tokens, "-")  # a missing value reads as one that starts with '-'
+                if value.startswith("-") or choices and value not in choices:
+                    return None
+            values[dest] = value
+            given.add(token)
+        elif star and given:
+            return None
+        else:
+            words.append(token)
+    if any(required and flag not in given for flag, _, _, required, _ in options):
+        return None
+    if star:
+        values[star[0]] = words
+    elif len(words) == len(positionals):
+        values.update(zip((name for name, _, _ in positionals), words))
+    else:
+        return None
+    return SimpleNamespace(subcommand=argv[0], func=func, **values)
 
-    def __init__(self, prog):
-        super().__init__(prog, width=0)  # set for real in format_help
 
-    def format_help(self):
-        stock = argparse.HelpFormatter(self._prog)  # the width argparse reads now
-        self._width, self._max_help_position = stock._width, stock._max_help_position
-        return super().format_help()
+_HelpFormatter = None
+"""The help formatter class build_parser uses when set; None means its own,
+which reads the terminal width late.  The tests set argparse's stock one to
+compare tml's help and usage text with argparse's."""
 
 
 def build_parser():
+    import argparse  # here, not at the top: only help and usage errors need it
+
+    class LateWidthFormatter(argparse.HelpFormatter):
+        """argparse's stock formatter, except that it reads the terminal
+        width when it formats help or usage, not when it is built.  argparse
+        builds one per add_argument call only to check the metavar, and the
+        stock formatter reads the width there, which imports shutil (and with
+        it zlib, bz2, lzma and fnmatch)."""
+
+        def __init__(self, prog):
+            super().__init__(prog, width=0)  # set for real in format_help
+
+        def format_help(self):
+            stock = argparse.HelpFormatter(self._prog)  # the width argparse reads now
+            self._width, self._max_help_position = stock._width, stock._max_help_position
+            return super().format_help()
+
+    formatter = _HelpFormatter or LateWidthFormatter
     parser = argparse.ArgumentParser(
         prog="tml",
         description="Tetravalent modal logic: parsing, tables, validity, "
                     "tableaux and natural deduction.",
-        formatter_class=_HelpFormatter,
+        formatter_class=formatter,
     )
     # argparse would format a usage line to compute this prog.
     subs = parser.add_subparsers(dest="subcommand", required=True, prog="tml")
-
-    def add(name, help):
-        return subs.add_parser(name, help=help, formatter_class=_HelpFormatter)
-
-    sp = add("parse", "parse a formula and print it back")
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_parse)
-
-    sp = add("table", "print a connective's operation table")
-    sp.add_argument("connective")
-    sp.set_defaults(func=_cmd_table)
-
-    sp = add("eval", "evaluate a formula")
-    sp.add_argument("formula")
-    sp.add_argument("--assign", help="valuation, e.g. p=n,q=b")
-    sp.add_argument("--vars", help="pin and order the variable universe")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = add("valid", "test validity by brute force")
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_valid)
-
-    sp = add("countermodel", "find a non-designating valuation")
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_countermodel)
-
-    sp = add("consequence", "test semantic consequence")
-    sp.add_argument("premises", nargs="*")
-    sp.add_argument("--to", required=True, help="conclusion formula")
-    sp.set_defaults(func=_cmd_consequence)
-
-    sp = add("prove", "decide a formula with a signed tableau")
-    sp.add_argument("formula")
-    sp.add_argument("--system", choices=["succ", "full"], required=True)
-    sp.add_argument("--derived", action="store_true",
-                    help="use the derived two-premise rules (succ system)")
-    sp.add_argument("--emit-tableau", action="store_true",
-                    help="print the completed tableau")
-    sp.set_defaults(func=_cmd_prove)
-
-    sp = add("translate", "rewrite a formula into a signature")
-    sp.add_argument("formula")
-    sp.add_argument("--to", choices=["succ", "full"], required=True)
-    sp.set_defaults(func=_cmd_translate)
-
-    sp = add("nd-check", "check a natural deduction proof")
-    sp.add_argument("file", help="proof JSON file, or - for stdin")
-    sp.set_defaults(func=_cmd_nd_check)
-
-    sp = add("nd-normalize", "normalize a natural deduction proof")
-    sp.add_argument("file", help="proof JSON file, or - for stdin")
-    sp.add_argument("--trace", action="store_true",
-                    help="print each conversion and the measure to stderr")
-    sp.set_defaults(func=_cmd_nd_normalize)
-
-    sp = add("identities", "check the algebra identity suites")
-    sp.set_defaults(func=_cmd_identities)
-
-    for sp in subs.choices.values():
-        sp.add_argument("--json", action="store_true", help="emit a JSON object")
+    for name, (help, func, positionals, options) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help, formatter_class=formatter)
+        for dest, nargs, help in positionals:
+            sp.add_argument(dest, nargs=nargs, help=help)
+        for flag, takes_value, choices, required, help in (*options, _JSON):
+            if takes_value:
+                sp.add_argument(flag, choices=choices, required=required, help=help)
+            else:
+                sp.add_argument(flag, action="store_true", help=help)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 0 if e.code in (0, None) else 2
     try:
         obj, text = args.func(args)
     except Exception as e:

@@ -25,7 +25,6 @@ classes (vacuous discharge) are fine.
 
 import itertools
 import operator
-import re
 
 from .errors import InvariantViolation
 from .hashcons import Frozen
@@ -460,7 +459,7 @@ def _constructor(tag):
     premises, conclusion, discharges = _SCHEMAS[tag]
     free = sorted(variables(conclusion).difference(*map(variables, premises)))
     n, k = len(premises), len(premises) + len(discharges)
-    name = re.sub(r"\B(?=[A-Z])", "_", tag).lower()
+    name = "".join(f"_{c}" if c.isupper() and i else c for i, c in enumerate(tag)).lower()
 
     def construct(*args):
         if len(args) != k + len(free):

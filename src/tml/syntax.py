@@ -20,11 +20,13 @@ Nesting is bounded by MAX_DEPTH.
 import enum
 import functools
 import operator
-import re
 
 from .hashcons import TABLE, Interned, absent, enter
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# An identifier is [a-z][a-zA-Z0-9_]*, scanned without re, which would cost
+# every command line a few milliseconds to import.
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_IDENT_REST = _IDENT_START | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 _KEYWORDS = ("bot", "top")
 
 MAX_DEPTH = 100
@@ -97,7 +99,10 @@ class Var(Formula):
         key = (cls, name)
         node = TABLE.get(key, absent)()
         if node is None:
-            if _IDENT_RE.fullmatch(name) is None or name in _KEYWORDS:
+            if not isinstance(name, str):
+                raise TypeError(f"variable name must be a str, not {type(name).__name__}")
+            if (name[:1] not in _IDENT_START or not _IDENT_REST.issuperset(name)
+                    or name in _KEYWORDS):
                 raise ValueError(f"bad variable name {name!r}")
             node = object.__new__(cls)
             _SET_NAME(node, name)
@@ -384,14 +389,15 @@ def _lex(text):
                 i += 2
             else:
                 raise ParseError("expected '>' after '<'", pos + 1, (">",))
-        else:
-            m = _IDENT_RE.match(text, i)
-            if m is None:
-                raise ParseError(f"unexpected character {ch!r}", pos)
-            word = m.group()
+        elif ch in _IDENT_START:
+            i += 1
+            while i < len(text) and text[i] in _IDENT_REST:
+                i += 1
+            word = text[pos - 1:i]
             kind = word if word in _KEYWORDS else "ident"
             tokens.append((kind, pos, word))
-            i = m.end()
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
     tokens.append(("end", len(text) + 1, None))
     return tokens
 

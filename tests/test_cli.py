@@ -761,12 +761,95 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
 
 
 def test_importing_the_cli_skips_costly_modules():
-    # Measured against what argparse and tml's own imports load by
-    # themselves, so that another Python version's stdlib cannot fail it.
-    baseline = _modules_after("import argparse, re, weakref")
+    # Measured against what `python -m` loads by itself, so that another
+    # Python version's stdlib cannot fail it.
+    baseline = _modules_after("import runpy, importlib.util")
     loaded = _modules_after("import tml.cli")
     assert "tml.cli" in loaded
-    assert not {"dataclasses", "typing", "inspect", "json"} & (loaded - baseline)
+    assert not {"dataclasses", "typing", "inspect", "json", "argparse", "gettext", "locale",
+                "re", "weakref"} & (loaded - baseline)
+
+
+def _imports_of(*args):
+    """The completed `python -S -X importtime *args` and the names of the
+    modules it imported."""
+    done = _fresh_python("-X", "importtime", *args)
+    return done, {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "p"], ["valid", "p"], ["table", "and"], ["eval", "p", "--assign", "p=1"],
+    ["prove", "--system", "full", "p"], ["translate", "p", "--to", "succ"],
+    ["consequence", "p", "--to", "p"],
+], ids=" ".join)
+def test_a_plain_command_line_loads_neither_argparse_nor_re(argv):
+    # argparse, with gettext and locale, loads only for help and usage
+    # errors, and re for none of these commands.
+    _, baseline = _imports_of("-c", "import runpy, importlib.util")
+    done, loaded = _imports_of("-m", "tml.cli", *argv)
+    assert done.returncode in (0, 1) and done.stdout, done.stderr
+    costly = {"argparse", "gettext", "locale", "re"}
+    assert not {m for m in loaded - baseline if m.split(".")[0] in costly}, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["consequence", "p", "--to"], 2),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_print_argparses_text(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _fresh_python("-m", "tml.cli", *argv)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    stock = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, stock.out, stock.err)
+    assert stock.out or stock.err
+
+
+# --- the fast path -----------------------------------------------------------------
+#
+# main reads plain command lines off cli._COMMANDS without argparse and
+# hands every other argv to argparse.  What the fast path accepts, it must
+# read as argparse does.
+
+def _argparse_reads(parser, argv):
+    """vars() of parser.parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_fast_path_reads_every_plain_golden_argv_as_argparse_does():
+    parser = cli.build_parser()
+    orders = [["prove", "--system", "full", "p"], ["prove", "p", "--system", "full", "--json"],
+              ["consequence", "p", "q", "--to", "r"], ["consequence", "--to", "r"]]
+    for argv in [case["argv"] for case in GOLDEN["cases"]] + orders:
+        fast, stock = cli._fast_parse(argv), _argparse_reads(parser, argv)
+        if fast is not None or not {"-h", "--help"} & set(argv):
+            assert fast is not None and vars(fast) == stock, argv
+
+
+def test_the_fast_path_agrees_with_argparse_on_random_tokens():
+    parser = cli.build_parser()
+    flags = sorted({option[0] for *_, options in cli._COMMANDS.values() for option in options})
+    words = [*cli._COMMANDS, *flags, "--json", "-", "--", "-h", "--to=full", "--sys",
+             "-1", "", "p", "p & q", "full", "succ", "p=1"]
+    values = ["full", "succ", "p", "", "-", "-1", "--json"]
+    rng = random.Random(34)
+    accepted = dict.fromkeys(cli._COMMANDS, 0)
+    for _ in range(20_000):
+        name = rng.choice(list(cli._COMMANDS))
+        argv = [name if rng.random() < 0.95 else rng.choice(words)]
+        own = [flag for flag, *_ in cli._COMMANDS[name][3]] + ["--json"]
+        for _ in range(rng.randint(1, 4)):
+            argv += [rng.choice(own), rng.choice(values)] if rng.random() < 0.5 else [rng.choice(words)]
+        fast = cli._fast_parse(argv)
+        if fast is not None:
+            accepted[argv[0]] += 1
+            assert vars(fast) == _argparse_reads(parser, argv), argv
+    assert min(accepted.values()) >= 10, accepted
 
 
 @pytest.mark.parametrize("argv, code, out", [

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -135,6 +136,25 @@ def test_var_name_validation():
         Var("")
     with pytest.raises(ValueError):
         Var("1x")
+
+
+@pytest.mark.parametrize("name", [b"p", 1, None, ("p",)], ids=repr)
+def test_a_var_name_that_is_no_str_is_a_type_error(name):
+    with pytest.raises(TypeError):
+        Var(name)
+
+
+@pytest.mark.parametrize("name", ["pé", "P", "", "bot", "p q", "p²", "p-q"])
+def test_a_bad_var_name_is_a_value_error(name):
+    with pytest.raises(ValueError, match=f"^bad variable name {re.escape(repr(name))}$"):
+        Var(name)
+
+
+@pytest.mark.parametrize("text, position", [("pé", 2), ("p²", 2), ("p_1 & Q", 7), ("é", 1)])
+def test_a_character_outside_ascii_identifiers_is_unexpected(text, position):
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse(text)
+    assert exc.value.position == position
 
 
 def test_render_minimal_parens():
